@@ -69,6 +69,12 @@ for leg in "${legs[@]}"; do
   echo "==> [$leg] testing"
   run_ctest --test-dir "$build" --output-on-failure -j "$jobs"
   if [ "$leg" = release ]; then
+    # Build-only: the serving benchmark compiles the library sources
+    # itself; a src/ API change that breaks it must fail here.
+    echo "==> [release] building the serving benchmark (servebench/)"
+    cmake -S "$repo/servebench" -B "$repo/build-check-servebench" \
+      -DCMAKE_BUILD_TYPE=Release
+    cmake --build "$repo/build-check-servebench" -j "$jobs"
     echo "==> [release] shard scaling gate"
     "$build/bench/bench_shard_scaling"
     echo "==> [release] cancellation gates"

@@ -18,6 +18,11 @@ namespace {
 /// thread — every layer it calls beneath sees the scope without plumbing.
 thread_local AtomicAccessMeter* tls_hedge_waste = nullptr;
 
+/// How far the limiter's latency baseline drifts toward a healthy window's
+/// fastest sample (slow tracking of genuine speedups; congestion never
+/// drags the baseline up because only healthy windows drift).
+constexpr double kBaselineDrift = 0.05;
+
 }  // namespace
 
 bool InHedgeAttempt() { return tls_hedge_waste != nullptr; }
@@ -149,7 +154,7 @@ void AdaptiveLimiter::RecordSampleLocked(std::chrono::nanoseconds rtt,
     } else {
       // Only healthy windows drift the baseline, so congestion can never
       // normalize itself by dragging the reference point up.
-      baseline_ns_ += options_.baseline_drift * (window_min - baseline_ns_);
+      baseline_ns_ += kBaselineDrift * (window_min - baseline_ns_);
     }
   }
   window_count_ = 0;

@@ -92,10 +92,6 @@ struct AdaptiveLimiterOptions {
   /// saw any transient failure) triggers a multiplicative decrease.
   double tolerance = 2.0;
   double decrease_factor = 0.8;
-  /// How far the latency baseline drifts toward a healthy window's fastest
-  /// sample (slow tracking of genuine speedups; congestion never drags the
-  /// baseline up because only healthy windows drift).
-  double baseline_drift = 0.05;
 
   /// Test hook: the clock LimitedTextSource measures round-trips with.
   SteadyClockFn clock;

@@ -10,6 +10,14 @@
 
 namespace textjoin {
 
+namespace {
+
+/// Growth bound of the decorrelated-jitter backoff: each delay is drawn
+/// from [initial_backoff, previous delay x this].
+constexpr double kBackoffMultiplier = 3.0;
+
+}  // namespace
+
 bool IsTransientError(StatusCode code) {
   switch (code) {
     case StatusCode::kUnavailable:
@@ -284,7 +292,7 @@ Result<T> ResilientTextSource::WithRetries(std::chrono::microseconds deadline,
       const uint64_t ordinal =
           op_counter_.fetch_add(1, std::memory_order_relaxed);
       backoff.emplace(retry.initial_backoff, retry.max_backoff,
-                      retry.backoff_multiplier,
+                      kBackoffMultiplier,
                       retry.jitter_seed ^ (ordinal * 0x9e3779b9));
     }
     const std::chrono::microseconds delay = backoff->NextDelay();

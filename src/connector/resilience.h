@@ -265,7 +265,6 @@ struct RetryPolicy {
   /// Decorrelated-jitter backoff between attempts (common/backoff.h).
   std::chrono::microseconds initial_backoff{500};
   std::chrono::microseconds max_backoff{50000};
-  double backoff_multiplier = 3.0;
   /// Seed for the jitter; the schedule of delays is deterministic given
   /// the seed and the sequence of operations.
   uint64_t jitter_seed = 42;

@@ -572,11 +572,9 @@ ShardedBackend::ShardedBackend(BackendTopology topology,
     }
   }
   if (topology_.shards.size() > 1) {
-    const int workers =
-        options_.scatter_parallelism > 0
-            ? options_.scatter_parallelism - 1
-            : static_cast<int>(topology_.shards.size()) - 1;
-    scatter_pool_ = std::make_unique<ThreadPool>(workers);
+    // The calling thread participates, so N-way scatter wants N-1 workers.
+    scatter_pool_ = std::make_unique<ThreadPool>(
+        static_cast<int>(topology_.shards.size()) - 1);
   }
 }
 

@@ -198,10 +198,6 @@ struct ShardedBackendOptions {
   /// The chain rebuilt per replica for every query source. `chain.cache` is
   /// ignored here (the cache is a logical layer above the router).
   ChainSpec chain;
-
-  /// Worker threads for the scatter pool (the calling thread participates,
-  /// so N-way scatter wants N-1 workers). 0 means num_shards() - 1.
-  int scatter_parallelism = 0;
 };
 
 /// The long-lived, service-wide half of a sharded deployment: owns the

@@ -78,6 +78,13 @@ namespace {
 /// a partition's share undefined).
 constexpr double kMinTenantWeight = 1e-6;
 
+/// Weight of a tenant not listed in CacheOptions::tenant_weights.
+constexpr double kDefaultTenantWeight = 1.0;
+
+/// Modeled cost of keeping one byte resident (pressure on the budget);
+/// scales the admission threshold with entry size.
+constexpr double kBookkeepingSecondsPerByte = 1e-9;
+
 // Rough resident-size model: container/bookkeeping overhead per entry plus
 // the payload strings. Only relative sizes matter (budget pressure), so a
 // simple model is enough — but it must be monotone in payload size.
@@ -211,7 +218,7 @@ TextCache::Partition& TextCache::PartitionFor(const TenantId& tenant) {
     auto weight = options_.tenant_weights.find(key);
     part.weight = weight != options_.tenant_weights.end()
                       ? weight->second
-                      : options_.default_tenant_weight;
+                      : kDefaultTenantWeight;
     it = partitions_.emplace(key, std::move(part)).first;
   }
   return it->second;
@@ -331,8 +338,8 @@ void TextCache::AdmitLocked(Entry entry, uint64_t epoch,
     ++stats_.admission_rejects;
     return;
   }
-  const double bookkeeping = options_.bookkeeping_seconds_per_byte *
-                             static_cast<double>(entry.bytes);
+  const double bookkeeping =
+      kBookkeepingSecondsPerByte * static_cast<double>(entry.bytes);
   if (ModeledSaving(entry) - bookkeeping < options_.min_saving_seconds) {
     ++stats_.admission_rejects;
     return;
@@ -459,7 +466,7 @@ TextCache::SearchTicket TextCache::BeginSearch(const std::string& canonical_key,
   ++stats_.search_misses;
   ticket.epoch = epoch_;
   ticket.tenant = tenant;
-  if (options_.coalesce && options_.cache_searches) {
+  if (options_.coalesce) {
     auto [fit, inserted] =
         search_flights_.try_emplace(FlightKeyFor(key, pinned), nullptr);
     if (inserted) {
@@ -484,7 +491,7 @@ void TextCache::FinishSearch(const std::string& canonical_key,
   const std::string key = Prefixed('s', canonical_key);
   {
     std::lock_guard<std::mutex> lock(mu_);
-    if (result.ok() && options_.cache_searches) {
+    if (result.ok()) {
       Entry entry;
       entry.key = key;
       entry.kind = 's';
@@ -532,7 +539,7 @@ TextCache::FetchTicket TextCache::BeginFetch(const std::string& docid,
   ++stats_.fetch_misses;
   ticket.epoch = epoch_;
   ticket.tenant = tenant;
-  if (options_.coalesce && options_.cache_documents) {
+  if (options_.coalesce) {
     auto [fit, inserted] =
         fetch_flights_.try_emplace(FlightKeyFor(key, pinned), nullptr);
     if (inserted) {
@@ -556,7 +563,7 @@ void TextCache::FinishFetch(const std::string& docid,
   const std::string key = Prefixed('d', docid);
   {
     std::lock_guard<std::mutex> lock(mu_);
-    if (result.ok() && options_.cache_documents) {
+    if (result.ok()) {
       Entry entry;
       entry.key = key;
       entry.kind = 'd';
@@ -598,7 +605,6 @@ std::optional<bool> TextCache::LookupProbe(const std::string& canonical_key,
 void TextCache::InsertProbe(const std::string& canonical_key, uint64_t epoch,
                             bool matched, const TenantId& tenant,
                             uint64_t pinned, const TermSignature* signature) {
-  if (!options_.cache_probes) return;
   Entry entry;
   entry.key = Prefixed('p', canonical_key);
   entry.kind = 'p';

@@ -99,12 +99,6 @@ struct CacheOptions {
   /// is at least this many simulated seconds. The default 0 admits any
   /// entry that saves more than it costs to keep.
   double min_saving_seconds = 0.0;
-  /// Modeled cost of keeping one byte resident (pressure on the budget);
-  /// scales the admission threshold with entry size.
-  double bookkeeping_seconds_per_byte = 1e-9;
-  bool cache_searches = true;
-  bool cache_documents = true;
-  bool cache_probes = true;
   bool coalesce = true;  ///< In-flight coalescing of identical operations.
 
   /// Partition the byte budget by tenant (DESIGN.md §15). Off (default),
@@ -115,10 +109,9 @@ struct CacheOptions {
   /// protected segment (entries with a proven repeat hit). 0 (default)
   /// disables the split: the partition is a plain LRU.
   double protected_fraction = 0.0;
-  /// Weighted share of the byte budget for tenants not listed in
-  /// `tenant_weights`. Under eviction pressure the partition most over
+  /// Weighted share of the byte budget per tenant (an unlisted tenant
+  /// weighs 1). Under eviction pressure the partition most over
   /// bytes/weight loses entries first.
-  double default_tenant_weight = 1.0;
   std::map<TenantId, double> tenant_weights;
 
   size_t EffectiveMaxEntryBytes() const {

@@ -40,10 +40,8 @@ namespace textjoin {
 struct EnumeratorOptions {
   bool enable_probes = true;   ///< false = traditional left-deep space.
   int correlation_g = 1;       ///< g of the joint-statistics model.
-  size_t max_probe_columns = 2;  ///< Theorem 5.3 bound (per reducer).
   double cpu_cost_per_tuple = 1e-7;  ///< Relational work, sec/tuple.
   CostParams cost_params;      ///< Text access cost constants.
-  size_t max_pareto_plans = 12;  ///< Frontier cap per subset.
   /// Forces the foreign-join method instead of taking the cost model's
   /// cheapest — the golden-explain wall and method ablations pin each of
   /// the six Section 3 methods in turn. The forced method still uses its

@@ -96,15 +96,11 @@ std::string ExplainAnalyze(const PlanNode& root, const FederatedQuery& query,
 /// the DegradationReport), under fail-fast it aborts with
 /// DeadlineExceeded. The default (time_point::max) never sheds. `clock` is
 /// the shedding clock (null = steady_clock; injectable for tests).
-/// `priority` is carried for the service's admission queue — higher runs
-/// first when queries queue for an execution slot; the executor itself
-/// does not reorder anything.
 struct ExecutorOptions {
   int parallelism = 1;
   FailureMode failure_mode = FailureMode::kFailFast;
   std::chrono::steady_clock::time_point deadline =
       std::chrono::steady_clock::time_point::max();
-  int priority = 0;
   SteadyClockFn clock;
   /// Cooperative cancellation (see StageScheduler::SetCancelToken): once
   /// the token fires, remaining operations and pending units abandon and

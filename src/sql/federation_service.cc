@@ -15,9 +15,7 @@ namespace {
 size_t CorpusFingerprint(const BackendTopology& topology) {
   uint64_t h = 1469598103934665603ull;
   for (const BackendTopology::Shard& shard : topology.shards) {
-    uint64_t count = shard.replicas.empty()
-                         ? 0
-                         : shard.replicas[0].corpus->num_documents();
+    const uint64_t count = shard.replicas[0].corpus->num_documents();
     for (int byte = 0; byte < 8; ++byte) {
       h ^= (count >> (byte * 8)) & 0xff;
       h *= 1099511628211ull;
@@ -119,9 +117,6 @@ Result<PlanNodePtr> FederationService::Plan(const FederatedQuery& query,
   // the same universe execution will see.
   size_t total_documents = 0;
   for (const BackendTopology::Shard& shard : topology.shards) {
-    if (shard.replicas.empty() || shard.replicas[0].corpus == nullptr) {
-      continue;
-    }
     const SearchableCorpus* corpus = shard.replicas[0].corpus;
     total_documents += corpus->mutable_corpus()
                            ? corpus->SnapshotAt(pinned_epoch)->num_documents()
@@ -198,7 +193,7 @@ Result<QueryOutcome> FederationService::Run(const std::string& sql,
   if (deadline_tp != std::chrono::steady_clock::time_point::max()) {
     token.SetDeadline(deadline_tp, deadline_clock);
   }
-  const int priority = run.priority.value_or(options_.default_priority);
+  const int priority = run.priority.value_or(0);
   const TenantId tenant = run.tenant.value_or(options_.default_tenant);
   TEXTJOIN_RETURN_IF_ERROR(token.Check());
 
@@ -255,7 +250,6 @@ Result<QueryOutcome> FederationService::Run(const std::string& sql,
   exec_options.parallelism = options_.parallelism;
   exec_options.failure_mode = options_.failure_mode;
   exec_options.deadline = deadline_tp;
-  exec_options.priority = priority;
   exec_options.clock = deadline_clock;
   exec_options.cancel = token;
   PlanExecutor executor(catalog_, exec_source, exec_options, pool_.get());
@@ -274,39 +268,37 @@ Result<QueryOutcome> FederationService::Run(const std::string& sql,
             : stats.breaker_opens;
   }
   if (caching != nullptr) outcome.cache = caching->activity();
-  // The overload account: per-query decorator activity plus the shared
-  // controllers' current state. Goes into the profile too, so
-  // ExplainAnalyze renders its `| overload` line.
+  // The overload account: the executor already wrote the shed and
+  // cancelled operations; add the per-query decorator activity, the shared
+  // controllers' current state and the admission wait. ExplainAnalyze
+  // renders it as the `| overload` line.
+  OverloadActivity& overload = outcome.profile.overload;
   if (options_.chain.limiter.has_value()) {
-    outcome.overload.limiter_waits = router->limiter_activity().waits;
-    outcome.overload.limit = backend_->limit_total();
+    overload.limiter_waits = router->limiter_activity().waits;
+    overload.limit = backend_->limit_total();
   }
   if (options_.chain.hedging.has_value()) {
     router->Quiesce();  // Straggling losers still charge the waste meter.
     const HedgeActivity activity = router->hedge_activity();
-    outcome.overload.hedges = activity.hedges;
-    outcome.overload.hedge_wins = activity.hedge_wins;
-    outcome.overload.hedges_suppressed = activity.suppressed;
-    outcome.overload.hedge_waste = activity.waste;
-    outcome.overload.hedge_losers_cancelled = activity.losers_cancelled;
+    overload.hedges = activity.hedges;
+    overload.hedge_wins = activity.hedge_wins;
+    overload.hedges_suppressed = activity.suppressed;
+    overload.hedge_waste = activity.waste;
+    overload.hedge_losers_cancelled = activity.losers_cancelled;
   }
-  outcome.overload.shed_operations = outcome.degradation.shed_operations;
-  outcome.overload.cancelled_operations =
-      outcome.degradation.cancelled_operations;
-  outcome.overload.admission_wait_seconds = ticket.wait_seconds();
-  outcome.profile.overload = outcome.overload;
+  overload.admission_wait_seconds = ticket.wait_seconds();
   // Which corpus version this query read; all-zero (and unrendered) for
   // frozen topologies.
   outcome.profile.corpus = router->corpus_pin();
   if (!backend_->topology().single()) {
     // Per-shard physical attribution — and the honest account of shard
     // contributions a best-effort broadcast dropped.
-    outcome.shards = router->activity();
-    if (outcome.shards.dropped_shards > 0) {
-      outcome.degradation.skipped_operations += outcome.shards.dropped_shards;
+    outcome.profile.shards = router->activity();
+    const uint64_t dropped = outcome.profile.shards.dropped_shards;
+    if (dropped > 0) {
+      outcome.degradation.skipped_operations += dropped;
       outcome.degradation.complete = false;
     }
-    outcome.profile.shards = outcome.shards;
   }
   outcome.meter_delta = router->meter();
   outcome.chosen_plan = plan->ToString(query);

@@ -58,7 +58,11 @@ struct QueryOutcome {
   /// Per-node actuals (rows + meter deltas), keyed by nodes of `plan`.
   /// Pipeline-backed nodes (foreign join, probe) additionally carry a
   /// per-stage breakdown (NodeProfile::stages) which ExplainAnalyze
-  /// renders as indented stage lines under the node.
+  /// renders as indented stage lines under the node. The query-wide
+  /// accounts live here too: `profile.overload` (hedge races — whose waste
+  /// is NOT in meter_delta — limiter queueing, deadline sheds, admission
+  /// wait) and `profile.shards` (per-shard-replica physical attribution,
+  /// multi-shard topologies only).
   ExecutionProfile profile;
 
   /// The executed plan; owning it here keeps `profile`'s keys valid for
@@ -76,18 +80,6 @@ struct QueryOutcome {
   /// upstream calls actually made; the operations the cache absorbed are
   /// here, reported separately.
   CacheActivity cache;
-
-  /// What the overload layer did for this query: hedge races and their
-  /// diverted waste charges (NOT in meter_delta — losers never charge the
-  /// main meter), limiter queueing, deadline-shed operations, and the
-  /// admission wait. All zero when the layer is off or idle.
-  OverloadActivity overload;
-
-  /// Per-shard-replica PHYSICAL attribution (traffic each replica actually
-  /// served, failovers, per-replica retries), plus routing counters.
-  /// Populated only for multi-shard topologies; rendered as "| shard"
-  /// lines by ExplainAnalyze.
-  ShardActivity shards;
 };
 
 /// A federation of one relational catalog and an external text corpus —
@@ -146,20 +138,16 @@ class FederationService {
     std::optional<AdmissionOptions> admission_control;
 
     /// THE query-deadline clock: deadlines are computed and checked on it
-    /// everywhere (admission shedding, executor-level shedding). Null =
-    /// steady_clock. Inject for deterministic deadline tests.
+    /// everywhere (admission shedding, executor-level shedding; an
+    /// `admission_control` without a clock of its own runs on this one).
+    /// Null = steady_clock. Inject for deterministic deadline tests.
     SteadyClockFn deadline_clock;
-
-    /// Worker threads for multi-shard search scatter (the caller
-    /// participates). 0 = one per shard beyond the first.
-    int scatter_parallelism = 0;
 
     /// true: compute exact statistics engine-side (free, experiment mode).
     /// false: sample the text source per Section 4.2; sampling charges go
     /// to stats_meter() and are amortized across queries.
     bool oracle_stats = true;
     size_t sample_size = 50;        ///< Values probed per predicate.
-    uint64_t sampling_seed = 42;
 
     /// Number of concurrent text-source operations per query; 1 = serial.
     /// Parallelism never changes results or meter totals, only wall-clock
@@ -188,12 +176,11 @@ class FederationService {
     /// set, it wins over `chain.cache` (which would build a private one).
     std::shared_ptr<TextCache> shared_cache;
 
-    /// Default per-query deadline (0 = none) and priority, overridable per
-    /// Run() call via RunOptions. The deadline bounds the whole query:
-    /// admission sheds it when it cannot be met, and execution sheds the
-    /// remaining source operations once it passes (on `deadline_clock`).
+    /// Default per-query deadline (0 = none), overridable per Run() call
+    /// via RunOptions. The deadline bounds the whole query: admission sheds
+    /// it when it cannot be met, and execution sheds the remaining source
+    /// operations once it passes (on `deadline_clock`).
     std::chrono::microseconds default_deadline{0};
-    int default_priority = 0;
 
     /// Live-corpus mode: presence means the topology mutates while
     /// serving. Queries pin the clock's published frontier; the
@@ -207,26 +194,12 @@ class FederationService {
     /// tenant selects the admission fairness/quota bucket and the cache
     /// partition insertions are charged to.
     TenantId default_tenant;
-
-    // --- Deprecated aliases (one release): the flat enable_X + XOptions
-    // pairs that ChainSpec replaced. Normalization folds each enabled pair
-    // into the corresponding `chain` optional (or `admission_control` /
-    // `deadline_clock`) unless the new field is already set, which wins.
-    bool enable_resilience = false;     ///< Deprecated: set chain.resilience.
-    ResilienceOptions resilience;       ///< Deprecated: set chain.resilience.
-    bool enable_cache = false;          ///< Deprecated: set chain.cache.
-    CacheOptions cache;                 ///< Deprecated: set chain.cache.
-    bool enable_adaptive_limit = false; ///< Deprecated: set chain.limiter.
-    AdaptiveLimiterOptions adaptive_limit;  ///< Deprecated: chain.limiter.
-    bool enable_hedging = false;        ///< Deprecated: set chain.hedging.
-    HedgeOptions hedging;               ///< Deprecated: set chain.hedging.
-    bool enable_admission = false;      ///< Deprecated: set admission_control.
-    AdmissionOptions admission;         ///< Deprecated: set admission_control.
   };
 
   /// Per-call overrides of the service-wide defaults.
   struct RunOptions {
     std::optional<std::chrono::microseconds> deadline;
+    /// Admission-queue priority (higher runs first); unset = 0.
     std::optional<int> priority;
     /// The tenant this query runs as (admission fairness bucket + cache
     /// partition); unset = the service's default_tenant.
@@ -282,8 +255,8 @@ class FederationService {
   FederationService(const Catalog* catalog, const SearchableCorpus* engine,
                     Options options)
       : catalog_(catalog),
-        options_(Normalize(std::move(options))),
-        rng_(options_.sampling_seed) {
+        options_(std::move(options)),
+        rng_(kSamplingSeed) {
     TEXTJOIN_CHECK(!options_.topology.empty() || engine != nullptr,
                    "FederationService needs an engine or a topology");
     BackendTopology topology = options_.topology.empty()
@@ -291,7 +264,6 @@ class FederationService {
                                    : options_.topology;
     ShardedBackendOptions backend_options;
     backend_options.chain = options_.chain;
-    backend_options.scatter_parallelism = options_.scatter_parallelism;
     backend_ = std::make_unique<ShardedBackend>(std::move(topology),
                                                 std::move(backend_options));
     stats_source_ = backend_->MakeBareSource();
@@ -403,35 +375,6 @@ class FederationService {
   StatsRegistry& stats() { return registry_; }
 
  private:
-  /// Folds the deprecated enable_X aliases into ChainSpec form (new-style
-  /// fields win when both are set).
-  static Options Normalize(Options options) {
-    if (!options.chain.resilience.has_value() && options.enable_resilience) {
-      options.chain.resilience = options.resilience;
-    }
-    if (!options.chain.cache.has_value() && options.enable_cache) {
-      options.chain.cache = options.cache;
-    }
-    if (!options.chain.limiter.has_value() && options.enable_adaptive_limit) {
-      options.chain.limiter = options.adaptive_limit;
-    }
-    if (!options.chain.hedging.has_value() && options.enable_hedging) {
-      options.chain.hedging = options.hedging;
-    }
-    if (!options.admission_control.has_value() && options.enable_admission) {
-      options.admission_control = options.admission;
-    }
-    if (!options.deadline_clock) {
-      if (options.admission_control.has_value() &&
-          options.admission_control->clock) {
-        options.deadline_clock = options.admission_control->clock;
-      } else if (options.admission.clock) {
-        options.deadline_clock = options.admission.clock;
-      }
-    }
-    return options;
-  }
-
   /// Ensures the registry covers every predicate of `query`, reading the
   /// corpus at `pinned_epoch` (mutable corpora only; kUnpinnedEpoch =
   /// latest). Caller holds stats_mu_.
@@ -453,6 +396,9 @@ class FederationService {
   /// Bare (chain-less) router; its own meter IS the stats meter.
   std::unique_ptr<ShardedTextSource> stats_source_;
   StatsRegistry registry_;
+  /// Sampling draws are seeded, so sampled statistics (and the plans built
+  /// on them) repeat exactly from run to run.
+  static constexpr uint64_t kSamplingSeed = 42;
   Rng rng_;
 
   /// Folded per-call deltas; commutative, so concurrent Run()s agree.

@@ -863,7 +863,7 @@ void SegmentMergeWorker::Start() {
       if (stop_) break;
       size_t pending = 0;
       for (LiveCorpus* corpus : corpora_) pending += corpus->PendingDeltaDocs();
-      if (pending < options_.min_delta_docs) continue;
+      if (pending == 0) continue;
       lock.unlock();
       RunOnePass();
       lock.lock();

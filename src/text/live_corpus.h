@@ -445,8 +445,6 @@ class CorpusSnapshot final : public SearchableCorpus,
 struct MergeWorkerOptions {
   /// How often the worker wakes to look for fold-able deltas.
   std::chrono::milliseconds interval{2};
-  /// Skip a pass while fewer versions than this are pending.
-  size_t min_delta_docs = 1;
   /// Deterministic fault injection: pass i of the worker's lifetime takes
   /// fault_schedule[i] (kNone once exhausted).
   std::vector<MergeFault> fault_schedule;

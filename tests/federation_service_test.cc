@@ -125,66 +125,5 @@ TEST_F(FederationServiceTest, PureRelationalQueriesWork) {
   EXPECT_EQ(service.meter().invocations, 0u);  // no text source involved
 }
 
-// The pre-ChainSpec enable_X flag + XOptions pairs stay as deprecated
-// aliases for one release. A service configured through the aliases must
-// behave byte-for-byte like one configured through chain.* /
-// admission_control — rows, meter, and the resulting control surfaces.
-TEST_F(FederationServiceTest, DeprecatedAliasesMatchChainSpec) {
-  FederationService::Options legacy;
-  legacy.enable_cache = true;
-  legacy.enable_resilience = true;
-  legacy.resilience.retry.max_attempts = 3;
-  legacy.resilience.sleeper = [](std::chrono::microseconds) {};
-  legacy.enable_adaptive_limit = true;
-  legacy.enable_admission = true;
-  legacy.admission.max_concurrent = 2;
-
-  FederationService::Options chained;
-  chained.chain.cache.emplace();
-  chained.chain.resilience.emplace();
-  chained.chain.resilience->retry.max_attempts = 3;
-  chained.chain.resilience->sleeper = [](std::chrono::microseconds) {};
-  chained.chain.limiter.emplace();
-  chained.admission_control.emplace();
-  chained.admission_control->max_concurrent = 2;
-
-  FederationService via_alias = MakeService(std::move(legacy));
-  FederationService via_chain = MakeService(std::move(chained));
-  for (FederationService* service : {&via_alias, &via_chain}) {
-    EXPECT_NE(service->cache(), nullptr);
-    EXPECT_NE(service->breaker(), nullptr);
-    EXPECT_NE(service->limiter(), nullptr);
-    EXPECT_NE(service->admission(), nullptr);
-  }
-
-  auto alias_outcome = via_alias.Run(kSql);
-  auto chain_outcome = via_chain.Run(kSql);
-  ASSERT_TRUE(alias_outcome.ok()) << alias_outcome.status().ToString();
-  ASSERT_TRUE(chain_outcome.ok()) << chain_outcome.status().ToString();
-  std::multiset<std::string> alias_rows, chain_rows;
-  for (const Row& row : alias_outcome->rows.rows)
-    alias_rows.insert(RowToString(row));
-  for (const Row& row : chain_outcome->rows.rows)
-    chain_rows.insert(RowToString(row));
-  EXPECT_EQ(alias_rows, chain_rows);
-  EXPECT_EQ(alias_rows, Reference(kSql));
-  EXPECT_EQ(alias_outcome->meter_delta.ToString(),
-            chain_outcome->meter_delta.ToString());
-}
-
-// When both styles are set, the new chain.* fields win over the aliases.
-TEST_F(FederationServiceTest, ChainSpecWinsOverDeprecatedAliases) {
-  FederationService::Options options;
-  options.enable_resilience = true;
-  options.resilience.retry.max_attempts = 9;
-  ResilienceOptions chained;
-  chained.retry.max_attempts = 2;
-  options.chain.resilience = std::move(chained);
-  FederationService service = MakeService(std::move(options));
-  ASSERT_NE(service.backend(), nullptr);
-  ASSERT_TRUE(service.backend()->chain().resilience.has_value());
-  EXPECT_EQ(service.backend()->chain().resilience->retry.max_attempts, 2);
-}
-
 }  // namespace
 }  // namespace textjoin

@@ -1063,7 +1063,7 @@ TEST(ServiceOverloadTest, OverloadActivityReachesOutcomeAndDefaultsEmpty) {
     FederationService service(&catalog, engine.get(), options);
     auto outcome = service.Run(sql);
     ASSERT_TRUE(outcome.ok());
-    EXPECT_TRUE(outcome->overload.empty());
+    EXPECT_TRUE(outcome->profile.overload.empty());
   }
 
   // Hedging + limiter on, force-hedged: the outcome carries the races and
@@ -1075,7 +1075,7 @@ TEST(ServiceOverloadTest, OverloadActivityReachesOutcomeAndDefaultsEmpty) {
   FederationService service(&catalog, engine.get(), options);
   auto outcome = service.Run(sql);
   ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
-  EXPECT_GT(outcome->overload.limit, 0);
+  EXPECT_GT(outcome->profile.overload.limit, 0);
 
   FederationService::Options plain_options;
   plain_options.text = MercuryDecl();
@@ -1116,9 +1116,9 @@ TEST(ServiceOverloadTest, DeadlineShedsMidQueryWithHonestReport) {
 
   auto outcome = service.Run(sql);
   ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
-  EXPECT_GT(outcome->overload.shed_operations, 0u);
+  EXPECT_GT(outcome->profile.overload.shed_operations, 0u);
   EXPECT_EQ(outcome->degradation.shed_operations,
-            outcome->overload.shed_operations);
+            outcome->profile.overload.shed_operations);
   EXPECT_FALSE(outcome->degradation.complete);
 
   // A per-call override can lift the default deadline entirely.
@@ -1126,8 +1126,40 @@ TEST(ServiceOverloadTest, DeadlineShedsMidQueryWithHonestReport) {
   generous.deadline = std::chrono::hours(1);
   auto unshed = service.Run(sql, generous);
   ASSERT_TRUE(unshed.ok()) << unshed.status().ToString();
-  EXPECT_EQ(unshed->overload.shed_operations, 0u);
+  EXPECT_EQ(unshed->profile.overload.shed_operations, 0u);
   EXPECT_TRUE(unshed->degradation.complete);
+}
+
+// An admission queue without a clock of its own runs on the service's
+// deadline_clock, so admission and execution judge one deadline on one
+// clock. The fake clock sits at 0 and the query consumes no virtual time,
+// so a 1 s budget is generous; read on steady_clock (machine uptime) the
+// same deadline would already have passed and admission would shed the
+// query with kDeadlineExceeded.
+TEST(ServiceOverloadTest, AdmissionRunsOnTheDeadlineClock) {
+  auto engine = MakeSmallEngine();
+  Catalog catalog;
+  ASSERT_TRUE(catalog.AddTable(MakeStudentTable()).ok());
+  const std::string sql =
+      "select student.name, mercury.docid from student, mercury "
+      "where 'belief' in mercury.title and student.name in mercury.author";
+
+  auto clock = std::make_shared<FakeClock>();
+  FederationService::Options options;
+  options.text = MercuryDecl();
+  options.admission_control.emplace();  // No AdmissionOptions::clock.
+  options.deadline_clock = clock->clock();
+  FederationService service(&catalog, engine.get(), options);
+
+  FederationService::RunOptions run;
+  run.deadline = std::chrono::seconds(1);
+  auto outcome = service.Run(sql, run);
+  ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
+  EXPECT_TRUE(outcome->degradation.complete);
+  EXPECT_FALSE(outcome->rows.rows.empty());
+  const AdmissionStats stats = service.admission()->stats();
+  EXPECT_EQ(stats.admitted, 1u);
+  EXPECT_EQ(stats.shed_deadline, 0u);
 }
 
 // ---------------------------------------------------------------------------

@@ -600,8 +600,8 @@ TEST(ShardedServiceTest, ColdAndWarmRunsMatchTheSingleBackendService) {
                 single_outcome->cache.TotalHits());
     } else {
       // Cold run: attribution covers all 4 shards x 2 replicas.
-      EXPECT_EQ(sharded_outcome->shards.replicas.size(), 8u);
-      EXPECT_GT(sharded_outcome->shards.broadcasts, 0u);
+      EXPECT_EQ(sharded_outcome->profile.shards.replicas.size(), 8u);
+      EXPECT_GT(sharded_outcome->profile.shards.broadcasts, 0u);
     }
   }
 }
@@ -654,8 +654,8 @@ TEST(ShardedServiceTest, WholeShardOutageYieldsHonestServiceDegradation) {
   auto outcome = service.Run(kServiceSql);
   ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
   EXPECT_FALSE(outcome->degradation.complete);
-  EXPECT_GT(outcome->shards.dropped_shards, 0u);
-  EXPECT_FALSE(outcome->shards.complete);
+  EXPECT_GT(outcome->profile.shards.dropped_shards, 0u);
+  EXPECT_FALSE(outcome->profile.shards.complete);
 }
 
 // Regression (the cross-shard epoch bug): the cache's corpus watch must
