@@ -3,15 +3,15 @@
 // (linear, per the paper's text-system model) in both the legacy and the
 // block-compressed representation, phrase adjacency, index build, Boolean
 // search evaluation, the probe cache, tokenization, and the relational
-// hash join. A custom main() additionally emits the machine-readable
-// BENCH_vectorized.json snapshot (rows/sec, ns/row, heap allocations) and
-// hosts the release perf-smoke gate:
+// hash join. A custom main() can additionally write a machine-readable
+// snapshot in the BENCH_vectorized.json format (rows/sec, ns/row, heap
+// allocations) and hosts the release perf-smoke gate:
 //
-//   bench_micro                         # full google-benchmark suite + JSON
-//   bench_micro --snapshot_only         # just the JSON snapshot section
-//   bench_micro --perf_smoke            # snapshot + block-vs-legacy gate
-//   bench_micro --snapshot_path=<file>  # where the JSON lands
-//                                       # (default BENCH_vectorized.json)
+//   bench_micro                         # full google-benchmark suite
+//   bench_micro --snapshot_path=<file>  # ... + the JSON snapshot in <file>
+//   bench_micro --snapshot_only         # skip the google-benchmark suite
+//   bench_micro --perf_smoke            # snapshot records + block-vs-legacy
+//                                       # gate (no file without a path)
 
 #include <benchmark/benchmark.h>
 
@@ -298,7 +298,7 @@ void BM_DiskListRead(benchmark::State& state) {
   size_t i = 0;
   for (auto _ : state) {
     const std::string token = std::string("p0v") + std::to_string(i++ % 50);
-    benchmark::DoNotOptimize((*disk)->ReadList("author", token));
+    benchmark::DoNotOptimize((*disk)->ReadBlockList("author", token));
   }
 }
 BENCHMARK(BM_DiskListRead);
@@ -513,7 +513,7 @@ int PerfSmoke(const std::vector<bench::BenchRecord>& records) {
 TEXTJOIN_BENCH_ALLOC_HOOKS()
 
 int main(int argc, char** argv) {
-  std::string snapshot_path = "BENCH_vectorized.json";
+  std::string snapshot_path;  // Empty: write no snapshot file.
   bool snapshot_only = false;
   bool perf_smoke = false;
   std::vector<char*> passthrough;
@@ -541,10 +541,16 @@ int main(int argc, char** argv) {
     benchmark::RunSpecifiedBenchmarks();
     benchmark::Shutdown();
   }
+  if (snapshot_path.empty() && !perf_smoke) {
+    std::printf("no --snapshot_path=<file> given: snapshot not written\n");
+    return 0;
+  }
   const std::vector<textjoin::bench::BenchRecord> records =
       RunVectorizedSnapshot();
-  textjoin::bench::WriteBenchSnapshot(snapshot_path, "micro", records);
-  std::printf("wrote %zu micro records to %s\n", records.size(),
-              snapshot_path.c_str());
+  if (!snapshot_path.empty()) {
+    textjoin::bench::WriteBenchSnapshot(snapshot_path, "micro", records);
+    std::printf("wrote %zu micro records to %s\n", records.size(),
+                snapshot_path.c_str());
+  }
   return perf_smoke ? PerfSmoke(records) : 0;
 }

@@ -82,9 +82,11 @@ int Run(const std::string& snapshot_path) {
       prediction_tracks = false;
     }
   }
-  bench::WriteBenchSnapshot(snapshot_path, "scale", records);
-  std::printf("\nwrote %zu scale records to %s\n", records.size(),
-              snapshot_path.c_str());
+  if (!snapshot_path.empty()) {
+    bench::WriteBenchSnapshot(snapshot_path, "scale", records);
+    std::printf("\nwrote %zu scale records to %s\n", records.size(),
+                snapshot_path.c_str());
+  }
   std::printf("shape check (model within 2x of measurement at every D): "
               "%s\n",
               prediction_tracks ? "PASS" : "FAIL");
@@ -96,7 +98,7 @@ int Run(const std::string& snapshot_path) {
 TEXTJOIN_BENCH_ALLOC_HOOKS()
 
 int main(int argc, char** argv) {
-  std::string snapshot_path = "BENCH_vectorized.json";
+  std::string snapshot_path;  // Empty: write no snapshot file.
   for (int i = 1; i < argc; ++i) {
     const std::string_view arg = argv[i];
     if (arg.rfind("--snapshot_path=", 0) == 0) {

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <memory>
 #include <optional>
-#include <tuple>
 #include <unordered_set>
 
 #include "common/string_util.h"
@@ -594,27 +593,10 @@ std::string ExplainAnalyze(const PlanNode& root, const FederatedQuery& query,
   }
   // Per-shard-replica physical attribution, present only for sharded
   // topologies (single-backend output stays byte-identical). The router
-  // reports replicas in (shard, replica) order already; stable mode sorts
-  // canonically anyway so the golden wall cannot depend on reporting
-  // order.
-  if (stable) {
-    std::vector<const ShardReplicaActivity*> sorted;
-    sorted.reserve(profile.shards.replicas.size());
-    for (const ShardReplicaActivity& replica : profile.shards.replicas) {
-      sorted.push_back(&replica);
-    }
-    std::sort(sorted.begin(), sorted.end(),
-              [](const ShardReplicaActivity* a, const ShardReplicaActivity* b) {
-                return std::tie(a->shard, a->replica) <
-                       std::tie(b->shard, b->replica);
-              });
-    for (const ShardReplicaActivity* replica : sorted) {
-      out += "| shard " + replica->ToString() + "\n";
-    }
-  } else {
-    for (const ShardReplicaActivity& replica : profile.shards.replicas) {
-      out += "| shard " + replica.ToString() + "\n";
-    }
+  // reports replicas in (shard, replica) order by construction, so both
+  // modes render them as reported.
+  for (const ShardReplicaActivity& replica : profile.shards.replicas) {
+    out += "| shard " + replica.ToString() + "\n";
   }
   return out;
 }

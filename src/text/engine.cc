@@ -7,26 +7,11 @@ namespace textjoin {
 
 namespace {
 
-/// ListProvider view over an in-memory InvertedIndex. The block accessors
-/// hand out borrowed pointers into the index — the legacy accessors (kept
-/// for the reference evaluator) materialize a flat copy per lookup.
+/// ListProvider view over an in-memory InvertedIndex: hands out borrowed
+/// pointers into the index (zero copy).
 class MemoryLists final : public ListProvider {
  public:
   explicit MemoryLists(const InvertedIndex* index) : index_(index) {}
-
-  Result<PostingList> GetList(const std::string& field,
-                              const std::string& token) const override {
-    return index_->Lookup(field, token).Materialize();
-  }
-
-  Result<std::vector<PostingList>> GetPrefixLists(
-      const std::string& field, const std::string& prefix) const override {
-    std::vector<PostingList> lists;
-    for (const BlockPostings* list : index_->LookupPrefix(field, prefix)) {
-      lists.push_back(list->Materialize());
-    }
-    return lists;
-  }
 
   Result<BlockListHandle> GetBlockList(
       const std::string& field, const std::string& token) const override {
@@ -60,7 +45,7 @@ Result<DocNum> TextEngine::AddDocument(Document doc) {
 }
 
 Result<EngineSearchResult> TextEngine::Search(const TextQuery& query) const {
-  return SearchWithMode(query, kDefaultEvalMode);
+  return SearchWithMode(query, EvalMode::kBlock);
 }
 
 Result<EngineSearchResult> TextEngine::SearchWithMode(const TextQuery& query,
@@ -68,13 +53,6 @@ Result<EngineSearchResult> TextEngine::SearchWithMode(const TextQuery& query,
   MemoryLists lists(&index_);
   return EvaluateBooleanQuery(query, lists, docs_.size(),
                               max_search_terms_, exhaustive_eval_, mode);
-}
-
-Result<EngineSearchResult> TextEngine::SearchTopK(const TextQuery& query,
-                                                  size_t k) const {
-  MemoryLists lists(&index_);
-  return EvaluateBooleanQueryTopK(query, lists, docs_.size(),
-                                  max_search_terms_, k, exhaustive_eval_);
 }
 
 const Document& TextEngine::GetDocument(DocNum num) const {

@@ -45,11 +45,6 @@ class TextEngine final : public SearchableCorpus {
   Result<EngineSearchResult> SearchWithMode(const TextQuery& query,
                                             EvalMode mode) const;
 
-  /// Search returning at most the first `k` matching docs (ascending doc
-  /// order — a prefix of the full result). Charging is unchanged.
-  Result<EngineSearchResult> SearchTopK(const TextQuery& query,
-                                        size_t k) const;
-
   /// Retrieves the long form of a document by number.
   const Document& GetDocument(DocNum num) const override;
 

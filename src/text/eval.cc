@@ -1,6 +1,5 @@
 #include "text/eval.h"
 
-#include <algorithm>
 #include <utility>
 
 #include "common/arena.h"
@@ -9,31 +8,12 @@
 
 namespace textjoin {
 
-Result<BlockListHandle> ListProvider::GetBlockList(
-    const std::string& field, const std::string& token) const {
-  TEXTJOIN_ASSIGN_OR_RETURN(PostingList list, GetList(field, token));
-  return BlockListHandle::Owned(
-      std::make_shared<const BlockPostings>(BlockPostingsFromList(list)));
-}
-
-Result<std::vector<BlockListHandle>> ListProvider::GetBlockPrefixLists(
-    const std::string& field, const std::string& prefix) const {
-  TEXTJOIN_ASSIGN_OR_RETURN(std::vector<PostingList> lists,
-                            GetPrefixLists(field, prefix));
-  std::vector<BlockListHandle> out;
-  out.reserve(lists.size());
-  for (const PostingList& list : lists) {
-    out.push_back(BlockListHandle::Owned(
-        std::make_shared<const BlockPostings>(BlockPostingsFromList(list))));
-  }
-  return out;
-}
-
 namespace {
 
 /// Legacy recursive evaluator over flat Posting vectors (mirrors the
 /// paper's description of processing: retrieve lists, merge). Kept as the
-/// differential-testing reference for the block path below.
+/// differential-testing reference for the block path below; it reads each
+/// list as a flat copy of the provider's block list.
 class LegacyEvaluator {
  public:
   LegacyEvaluator(const ListProvider& lists, size_t num_documents,
@@ -91,30 +71,37 @@ class LegacyEvaluator {
   Result<PostingList> EvalTerm(const TextQuery& node) {
     if (node.term_kind() == TermKind::kPrefix) {
       TEXTJOIN_ASSIGN_OR_RETURN(
-          std::vector<PostingList> prefix_lists,
-          lists_.GetPrefixLists(node.field(), node.term()));
+          std::vector<BlockListHandle> prefix_lists,
+          lists_.GetBlockPrefixLists(node.field(), node.term()));
       PostingList acc;
-      for (const PostingList& list : prefix_lists) {
-        postings_ += list.size();
-        acc = UnionLists(acc, list, /*counter=*/nullptr);
+      for (const BlockListHandle& list : prefix_lists) {
+        postings_ += list->size();
+        acc = UnionLists(acc, list->Materialize(), /*counter=*/nullptr);
       }
       return acc;
     }
     const std::vector<std::string> tokens = AnalyzeTerm(node.term());
     if (tokens.empty()) return PostingList{};
     TEXTJOIN_ASSIGN_OR_RETURN(PostingList acc,
-                              lists_.GetList(node.field(), tokens[0]));
+                              FlatList(node.field(), tokens[0]));
     postings_ += acc.size();
     for (size_t i = 1; i < tokens.size(); ++i) {
       // Short-circuit (remaining lists not read) unless exhaustive mode
       // wants the shard-additive charge.
       if (acc.empty() && !exhaustive_) break;
       TEXTJOIN_ASSIGN_OR_RETURN(PostingList next,
-                                lists_.GetList(node.field(), tokens[i]));
+                                FlatList(node.field(), tokens[i]));
       postings_ += next.size();
       acc = PhraseAdjacent(acc, next, /*counter=*/nullptr);
     }
     return acc;
+  }
+
+  Result<PostingList> FlatList(const std::string& field,
+                               const std::string& token) const {
+    TEXTJOIN_ASSIGN_OR_RETURN(BlockListHandle list,
+                              lists_.GetBlockList(field, token));
+    return list->Materialize();
   }
 
   PostingList AllDocsList() const {
@@ -143,21 +130,18 @@ class LegacyEvaluator {
 class BlockEvaluator {
  public:
   BlockEvaluator(const ListProvider& lists, size_t num_documents,
-                 bool exhaustive, uint32_t limit)
+                 bool exhaustive)
       : lists_(lists), num_documents_(num_documents),
-        exhaustive_(exhaustive), limit_(limit) {}
+        exhaustive_(exhaustive) {}
 
   Result<EngineSearchResult> Run(const TextQuery& query) {
-    TEXTJOIN_ASSIGN_OR_RETURN(Operand root, Eval(query, limit_));
+    TEXTJOIN_ASSIGN_OR_RETURN(Operand root, Eval(query));
     EngineSearchResult result;
     if (root.is_block()) {
       result.docs.resize(root.handle->size());
       root.handle->DecodeDocsInto(result.docs.data());
     } else {
       result.docs.assign(root.view.docs, root.view.docs + root.view.size);
-    }
-    if (limit_ != 0 && result.docs.size() > limit_) {
-      result.docs.resize(limit_);
     }
     result.postings_processed = postings_;
     return result;
@@ -195,63 +179,51 @@ class BlockEvaluator {
     return view;
   }
 
-  /// `limit` is nonzero only when this node is the query root of a top-k
-  /// search: a conjunction may then stop its final intersection after
-  /// `limit` docs (ascending output makes the truncation a prefix).
-  Result<Operand> Eval(const TextQuery& node, uint32_t limit) {
+  Result<Operand> Eval(const TextQuery& node) {
     switch (node.kind()) {
       case TextQuery::Kind::kTerm:
         return EvalTerm(node);
       case TextQuery::Kind::kAnd: {
-        TEXTJOIN_ASSIGN_OR_RETURN(Operand acc,
-                                  Eval(*node.children()[0], 0));
-        const size_t n = node.children().size();
-        for (size_t i = 1; i < n; ++i) {
+        TEXTJOIN_ASSIGN_OR_RETURN(Operand acc, Eval(*node.children()[0]));
+        for (size_t i = 1; i < node.children().size(); ++i) {
           if (acc.docs_empty() && !exhaustive_) break;  // short-circuit
-          TEXTJOIN_ASSIGN_OR_RETURN(Operand next,
-                                    Eval(*node.children()[i], 0));
-          const uint32_t lim = i + 1 == n ? limit : 0;
+          TEXTJOIN_ASSIGN_OR_RETURN(Operand next, Eval(*node.children()[i]));
           FlatPostings out;
           if (acc.is_block() && next.is_block()) {
-            out = IntersectBlocks(*acc.handle, *next.handle, arena_, lim);
+            out = IntersectBlocks(*acc.handle, *next.handle, arena_);
             keepalive_.push_back(std::move(acc.handle));
             keepalive_.push_back(std::move(next.handle));
           } else if (!acc.is_block() && next.is_block()) {
-            out = IntersectViewBlock(acc.view, *next.handle, arena_, lim);
+            out = IntersectViewBlock(acc.view, *next.handle, arena_);
             keepalive_.push_back(std::move(next.handle));
           } else {
             // Positions must survive from the accumulator side.
             out = IntersectViews(ViewOf(std::move(acc)),
-                                 ViewOf(std::move(next)), arena_, lim);
+                                 ViewOf(std::move(next)), arena_);
           }
           acc = ViewOperand(out.View());
         }
         return acc;
       }
       case TextQuery::Kind::kOr: {
-        TEXTJOIN_ASSIGN_OR_RETURN(Operand first,
-                                  Eval(*node.children()[0], 0));
+        TEXTJOIN_ASSIGN_OR_RETURN(Operand first, Eval(*node.children()[0]));
         PostingsView acc = ViewOf(std::move(first));
         for (size_t i = 1; i < node.children().size(); ++i) {
-          TEXTJOIN_ASSIGN_OR_RETURN(Operand next,
-                                    Eval(*node.children()[i], 0));
+          TEXTJOIN_ASSIGN_OR_RETURN(Operand next, Eval(*node.children()[i]));
           acc = UnionViews(acc, ViewOf(std::move(next)), arena_).View();
         }
         return ViewOperand(acc);
       }
       case TextQuery::Kind::kNear: {
-        TEXTJOIN_ASSIGN_OR_RETURN(Operand left,
-                                  Eval(*node.children()[0], 0));
-        TEXTJOIN_ASSIGN_OR_RETURN(Operand right,
-                                  Eval(*node.children()[1], 0));
+        TEXTJOIN_ASSIGN_OR_RETURN(Operand left, Eval(*node.children()[0]));
+        TEXTJOIN_ASSIGN_OR_RETURN(Operand right, Eval(*node.children()[1]));
         PostingsView lv = ViewOf(std::move(left));
         PostingsView rv = ViewOf(std::move(right));
         return ViewOperand(
             ProximityViews(lv, rv, node.near_distance(), arena_).View());
       }
       case TextQuery::Kind::kNot: {
-        TEXTJOIN_ASSIGN_OR_RETURN(Operand child,
-                                  Eval(*node.children()[0], 0));
+        TEXTJOIN_ASSIGN_OR_RETURN(Operand child, Eval(*node.children()[0]));
         PostingsView cv = ViewOf(std::move(child));
         postings_ += num_documents_;
         return ViewOperand(DifferenceViews(AllDocs(), cv, arena_).View());
@@ -309,7 +281,6 @@ class BlockEvaluator {
   const ListProvider& lists_;
   size_t num_documents_;
   bool exhaustive_;
-  uint32_t limit_;
   uint64_t postings_ = 0;
   Arena arena_;
   std::vector<BlockListHandle> keepalive_;
@@ -342,21 +313,7 @@ Result<EngineSearchResult> EvaluateBooleanQuery(const TextQuery& query,
     result.postings_processed = evaluator.postings();
     return result;
   }
-  BlockEvaluator evaluator(lists, num_documents, exhaustive, /*limit=*/0);
-  return evaluator.Run(query);
-}
-
-Result<EngineSearchResult> EvaluateBooleanQueryTopK(
-    const TextQuery& query, const ListProvider& lists, size_t num_documents,
-    size_t max_terms, size_t k, bool exhaustive) {
-  TEXTJOIN_RETURN_IF_ERROR(CheckTermLimit(query, max_terms));
-  if (k == 0) {
-    EngineSearchResult result;  // Nothing asked for; nothing retrieved.
-    return result;
-  }
-  const uint32_t limit =
-      static_cast<uint32_t>(std::min<size_t>(k, UINT32_MAX));
-  BlockEvaluator evaluator(lists, num_documents, exhaustive, limit);
+  BlockEvaluator evaluator(lists, num_documents, exhaustive);
   return evaluator.Run(query);
 }
 

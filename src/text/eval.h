@@ -20,23 +20,18 @@
 /// Two evaluation modes (DESIGN.md §14): the vectorized block path
 /// (galloping skip-based intersection over block-compressed lists, scratch
 /// memory in a per-search Arena) and the legacy flat-vector path, kept as
-/// the differential-testing reference. Both produce identical docs and
-/// identical postings_processed.
+/// the differential-testing reference (it reads each block list
+/// materialized). Both produce identical docs and identical
+/// postings_processed.
 
 namespace textjoin {
 
-/// Evaluation engine selector. The build flag TEXTJOIN_LEGACY_POSTINGS
-/// flips the default to the legacy path repo-wide.
+/// Evaluation engine selector. kLegacy is reached only by an explicit
+/// request (differential tests, the perf-smoke comparison).
 enum class EvalMode {
   kBlock,   ///< Block-compressed lists, skip intersection, arena scratch.
   kLegacy,  ///< Flat Posting vectors and linear merges (reference).
 };
-
-#ifdef TEXTJOIN_LEGACY_POSTINGS
-inline constexpr EvalMode kDefaultEvalMode = EvalMode::kLegacy;
-#else
-inline constexpr EvalMode kDefaultEvalMode = EvalMode::kBlock;
-#endif
 
 /// A possibly-owning handle to a block posting list. In-memory providers
 /// hand out borrowed pointers into the index (zero copy); disk providers
@@ -66,31 +61,22 @@ class BlockListHandle {
   std::shared_ptr<const BlockPostings> owned_;
 };
 
-/// Where posting lists come from: an in-memory index, or an on-disk index
-/// with a main-memory directory.
+/// Where posting lists come from: an in-memory index, an on-disk index
+/// with a main-memory directory, or a live-corpus snapshot. Every list is
+/// served in block form.
 class ListProvider {
  public:
   virtual ~ListProvider() = default;
 
   /// The posting list for `token` in `field` (empty if absent). `token`
   /// is already analyzed (lowercase).
-  virtual Result<PostingList> GetList(const std::string& field,
-                                      const std::string& token) const = 0;
+  virtual Result<BlockListHandle> GetBlockList(
+      const std::string& field, const std::string& token) const = 0;
 
   /// Posting lists for every token in `field` starting with `prefix`
   /// (truncated searches).
-  virtual Result<std::vector<PostingList>> GetPrefixLists(
-      const std::string& field, const std::string& prefix) const = 0;
-
-  /// Block form of GetList. The default implementation adapts GetList by
-  /// re-encoding (correct for any provider); the real providers override
-  /// it to avoid the copy entirely.
-  virtual Result<BlockListHandle> GetBlockList(const std::string& field,
-                                               const std::string& token) const;
-
-  /// Block form of GetPrefixLists (same default-adaptation contract).
   virtual Result<std::vector<BlockListHandle>> GetBlockPrefixLists(
-      const std::string& field, const std::string& prefix) const;
+      const std::string& field, const std::string& prefix) const = 0;
 };
 
 /// Evaluates `query` against `lists`. `num_documents` is needed for NOT
@@ -106,17 +92,7 @@ class ListProvider {
 Result<EngineSearchResult> EvaluateBooleanQuery(
     const TextQuery& query, const ListProvider& lists, size_t num_documents,
     size_t max_terms, bool exhaustive = false,
-    EvalMode mode = kDefaultEvalMode);
-
-/// Like EvaluateBooleanQuery but returns at most `k` docs — the first k in
-/// ascending doc order, i.e. a prefix of the full result. When the query
-/// root is a conjunction (or a bare term), the final intersection stops
-/// early once k docs are known; charging is unchanged (lists are still
-/// retrieved at full size), so meters stay comparable with full searches.
-/// Only available on the block path.
-Result<EngineSearchResult> EvaluateBooleanQueryTopK(
-    const TextQuery& query, const ListProvider& lists, size_t num_documents,
-    size_t max_terms, size_t k, bool exhaustive = false);
+    EvalMode mode = EvalMode::kBlock);
 
 }  // namespace textjoin
 

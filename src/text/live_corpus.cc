@@ -625,21 +625,6 @@ class CorpusSnapshot::MaskedLists final : public ListProvider {
  public:
   explicit MaskedLists(const CorpusSnapshot* snap) : snap_(snap) {}
 
-  Result<PostingList> GetList(const std::string& field,
-                              const std::string& token) const override {
-    return snap_->MaskedList(field, token);
-  }
-
-  Result<std::vector<PostingList>> GetPrefixLists(
-      const std::string& field, const std::string& prefix) const override {
-    std::vector<PostingList> lists;
-    for (const std::string& token : snap_->PrefixTokens(field, prefix)) {
-      PostingList list = snap_->MaskedList(field, token);
-      if (!list.empty()) lists.push_back(std::move(list));
-    }
-    return lists;
-  }
-
   Result<BlockListHandle> GetBlockList(
       const std::string& field, const std::string& token) const override {
     if (snap_->identity_) {

@@ -298,31 +298,18 @@ Result<std::unique_ptr<DiskPostingIndex>> DiskPostingIndex::Open(
   return index;
 }
 
-Result<std::vector<PostingList>> DiskPostingIndex::ReadPrefixLists(
-    const std::string& field, const std::string& prefix) const {
-  std::vector<PostingList> lists;
-  const std::string lower = ToLower(prefix);
-  for (auto it = directory_.lower_bound({field, lower});
-       it != directory_.end() && it->first.first == field &&
-       StartsWith(it->first.second, lower);
-       ++it) {
-    TEXTJOIN_ASSIGN_OR_RETURN(PostingList list,
-                              ReadList(field, it->first.second));
-    lists.push_back(std::move(list));
-  }
-  return lists;
-}
-
 size_t DiskPostingIndex::DocFrequency(const std::string& field,
                                       const std::string& token) const {
   auto it = directory_.find({field, ToLower(token)});
   return it == directory_.end() ? 0 : it->second.postings;
 }
 
-Result<PostingList> DiskPostingIndex::ReadList(
+Result<BlockListHandle> DiskPostingIndex::ReadBlockList(
     const std::string& field, const std::string& token) const {
   auto it = directory_.find({field, ToLower(token)});
-  if (it == directory_.end()) return PostingList{};
+  if (it == directory_.end()) {
+    return BlockListHandle::Owned(std::make_shared<const BlockPostings>());
+  }
   std::string encoded(it->second.bytes, '\0');
   {
     // The handle's file position is shared state; only the seek+read pair
@@ -337,48 +324,8 @@ Result<PostingList> DiskPostingIndex::ReadList(
       return Status::InvalidArgument("corrupt or truncated index file");
     }
   }
-  PostingList list;
-  list.reserve(it->second.postings);
-  size_t pos = 0;
-  DocNum prev_doc = 0;
-  for (uint32_t p = 0; p < it->second.postings; ++p) {
-    Posting posting;
-    TEXTJOIN_ASSIGN_OR_RETURN(uint64_t doc_delta, DecodeVarint(encoded, pos));
-    posting.doc = prev_doc + static_cast<DocNum>(doc_delta);
-    prev_doc = posting.doc;
-    TEXTJOIN_ASSIGN_OR_RETURN(uint64_t positions, DecodeVarint(encoded, pos));
-    posting.positions.reserve(positions);
-    TokenPos prev_pos = 0;
-    for (uint64_t i = 0; i < positions; ++i) {
-      TEXTJOIN_ASSIGN_OR_RETURN(uint64_t delta, DecodeVarint(encoded, pos));
-      prev_pos += static_cast<TokenPos>(delta);
-      posting.positions.push_back(prev_pos);
-    }
-    list.push_back(std::move(posting));
-  }
-  return list;
-}
-
-Result<BlockListHandle> DiskPostingIndex::ReadBlockList(
-    const std::string& field, const std::string& token) const {
-  auto it = directory_.find({field, ToLower(token)});
-  if (it == directory_.end()) {
-    return BlockListHandle::Owned(std::make_shared<const BlockPostings>());
-  }
-  std::string encoded(it->second.bytes, '\0');
-  {
-    std::lock_guard<std::mutex> lock(io_mu_);
-    if (std::fseek(file_, static_cast<long>(it->second.offset), SEEK_SET) !=
-        0) {
-      return Status::Internal("seek failed in index file");
-    }
-    if (std::fread(encoded.data(), 1, encoded.size(), file_) !=
-        encoded.size()) {
-      return Status::InvalidArgument("corrupt or truncated index file");
-    }
-  }
   // Decode the delta+varint stream straight into the block-compressed
-  // form (no flat PostingList intermediate).
+  // form the evaluator consumes.
   auto list = std::make_shared<BlockPostings>();
   size_t pos = 0;
   DocNum prev_doc = 0;
@@ -422,16 +369,6 @@ namespace {
 class DiskLists final : public ListProvider {
  public:
   explicit DiskLists(const DiskPostingIndex* index) : index_(index) {}
-
-  Result<PostingList> GetList(const std::string& field,
-                              const std::string& token) const override {
-    return index_->ReadList(field, token);
-  }
-
-  Result<std::vector<PostingList>> GetPrefixLists(
-      const std::string& field, const std::string& prefix) const override {
-    return index_->ReadPrefixLists(field, prefix);
-  }
 
   Result<BlockListHandle> GetBlockList(
       const std::string& field, const std::string& token) const override {

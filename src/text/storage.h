@@ -48,7 +48,8 @@ Result<std::unique_ptr<TextEngine>> ReadCorpusFile(
 Status WriteIndexFile(const TextEngine& engine, const std::string& path);
 
 /// Read-side of the index file: the directory lives in memory (as in
-/// [DH91]); each ReadList seeks and decodes one posting list from disk.
+/// [DH91]); each ReadBlockList seeks and decodes one posting list from
+/// disk.
 class DiskPostingIndex {
  public:
   /// Opens `path` and loads the directory. The file must stay in place for
@@ -60,25 +61,17 @@ class DiskPostingIndex {
   DiskPostingIndex(const DiskPostingIndex&) = delete;
   DiskPostingIndex& operator=(const DiskPostingIndex&) = delete;
 
-  /// Reads the posting list for (field, token) from disk; empty list if
-  /// the token is not in the directory. `token` is matched lowercase.
-  /// Safe to call concurrently: the shared seek+read on the single file
-  /// handle is serialized internally.
-  Result<PostingList> ReadList(const std::string& field,
-                               const std::string& token) const;
-
-  /// Reads the posting lists of every directory token in `field` with the
-  /// given prefix (truncated searches).
-  Result<std::vector<PostingList>> ReadPrefixLists(
-      const std::string& field, const std::string& prefix) const;
-
-  /// Like ReadList, but decodes straight into the block-compressed form
-  /// the vectorized evaluator consumes (no flat PostingList detour). The
-  /// returned handle owns the decoded list.
+  /// Reads the posting list for (field, token) from disk, decoded into
+  /// the block-compressed form the evaluator consumes; empty list if the
+  /// token is not in the directory. `token` is matched lowercase. The
+  /// returned handle owns the decoded list. Fails with InvalidArgument on
+  /// a truncated or corrupt list. Safe to call concurrently: the shared
+  /// seek+read on the single file handle is serialized internally.
   Result<BlockListHandle> ReadBlockList(const std::string& field,
                                         const std::string& token) const;
 
-  /// Block form of ReadPrefixLists.
+  /// Reads the posting lists of every directory token in `field` with the
+  /// given prefix (truncated searches).
   Result<std::vector<BlockListHandle>> ReadBlockPrefixLists(
       const std::string& field, const std::string& prefix) const;
 
@@ -100,8 +93,8 @@ class DiskPostingIndex {
   explicit DiskPostingIndex(std::FILE* file) : file_(file) {}
 
   std::FILE* file_;
-  /// Serializes the fseek+fread pair in ReadList: the file position is
-  /// state shared by every reader of the single handle.
+  /// Serializes the fseek+fread pair in ReadBlockList: the file position
+  /// is state shared by every reader of the single handle.
   mutable std::mutex io_mu_;
   std::map<std::pair<std::string, std::string>, DirectoryEntry> directory_;
 };
@@ -114,7 +107,7 @@ class DiskPostingIndex {
 /// Thread-safety: const methods are safe to call concurrently, like
 /// TextEngine's. The one piece of shared mutable state — the file position
 /// of the single index handle — is serialized inside
-/// DiskPostingIndex::ReadList, so concurrent searches interleave their
+/// DiskPostingIndex::ReadBlockList, so concurrent searches interleave their
 /// posting-list reads without racing.
 class DiskTextEngine final : public SearchableCorpus {
  public:

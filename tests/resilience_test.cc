@@ -639,9 +639,9 @@ TEST(DiskEngineConcurrencyTest, ParallelJoinMatchesSerialExecution) {
   spec.selections = {{"belief", "title"}};
   spec.joins = {{"student.name", "author"}, {"student.advisor", "author"}};
 
-  // Concurrent searches hammer the shared index file handle; before the
-  // ReadList fix this raced on the seek+read pair. Several iterations give
-  // TSan schedules to bite on.
+  // Concurrent searches hammer the shared index file handle; without the
+  // lock in DiskPostingIndex::ReadBlockList the seek+read pair races.
+  // Several iterations give TSan schedules to bite on.
   ThreadPool pool(7);
   for (const JoinMethodKind method :
        {JoinMethodKind::kTS, JoinMethodKind::kSJRTP}) {

@@ -84,12 +84,13 @@ TEST(IndexFileTest, DiskListsMatchMemoryLists) {
                                   const std::string& token,
                                   const BlockPostings& block) {
     const PostingList mem = block.Materialize();
-    auto from_disk = (*disk)->ReadList(field, token);
+    auto from_disk = (*disk)->ReadBlockList(field, token);
     ASSERT_TRUE(from_disk.ok());
-    ASSERT_EQ(from_disk->size(), mem.size()) << field << "/" << token;
+    const PostingList disk_list = (*from_disk)->Materialize();
+    ASSERT_EQ(disk_list.size(), mem.size()) << field << "/" << token;
     for (size_t i = 0; i < mem.size(); ++i) {
-      EXPECT_EQ((*from_disk)[i].doc, mem[i].doc);
-      EXPECT_EQ((*from_disk)[i].positions, mem[i].positions);
+      EXPECT_EQ(disk_list[i].doc, mem[i].doc);
+      EXPECT_EQ(disk_list[i].positions, mem[i].positions);
     }
     EXPECT_EQ((*disk)->DocFrequency(field, token), mem.size());
     ++checked;
@@ -97,13 +98,87 @@ TEST(IndexFileTest, DiskListsMatchMemoryLists) {
   EXPECT_EQ(checked, (*disk)->directory_size());
   EXPECT_GT(checked, 10u);
   // Missing tokens: empty list, zero frequency, no error.
-  auto missing = (*disk)->ReadList("title", "zzznotthere");
+  auto missing = (*disk)->ReadBlockList("title", "zzznotthere");
   ASSERT_TRUE(missing.ok());
-  EXPECT_TRUE(missing->empty());
+  EXPECT_TRUE((*missing)->empty());
   EXPECT_EQ((*disk)->DocFrequency("title", "zzznotthere"), 0u);
   // Case-insensitive like the in-memory directory.
   EXPECT_EQ((*disk)->DocFrequency("title", "BELIEF"), 2u);
+
+  // Truncated searches: the disk directory picks the same tokens, in the
+  // same order, with the same postings as the in-memory index.
+  size_t nonempty = 0;
+  for (const char* field : {"title", "author", "year", "nofield"}) {
+    for (const char* prefix :
+         {"", "b", "belie", "BELIE", "gr", "s", "1", "zzz"}) {
+      const std::vector<const BlockPostings*> mem =
+          engine->index().LookupPrefix(field, prefix);
+      auto from_disk = (*disk)->ReadBlockPrefixLists(field, prefix);
+      ASSERT_TRUE(from_disk.ok()) << field << "/" << prefix;
+      ASSERT_EQ(from_disk->size(), mem.size()) << field << "/" << prefix;
+      for (size_t i = 0; i < mem.size(); ++i) {
+        const PostingList want = mem[i]->Materialize();
+        const PostingList got = (*from_disk)[i]->Materialize();
+        ASSERT_EQ(got.size(), want.size()) << field << "/" << prefix;
+        for (size_t p = 0; p < want.size(); ++p) {
+          EXPECT_EQ(got[p].doc, want[p].doc);
+          EXPECT_EQ(got[p].positions, want[p].positions);
+        }
+      }
+      if (!mem.empty()) ++nonempty;
+    }
+  }
+  EXPECT_GT(nonempty, 8u);
   std::remove(path.c_str());
+}
+
+TEST(IndexFileTest, TruncatedListRejected) {
+  // Cut the last byte of the index file: the directory still loads, the
+  // lists before the cut still read, and the cut list is rejected rather
+  // than returned partially decoded.
+  auto engine = MakeSmallEngine();
+  const std::string cpath = TempPath("truncated_list.tjc");
+  const std::string ipath = TempPath("truncated_list.tji");
+  ASSERT_TRUE(WriteCorpusFile(*engine, cpath).ok());
+  ASSERT_TRUE(WriteIndexFile(*engine, ipath).ok());
+  // Lists are laid out in ForEachList order, so the last one visited is
+  // the one the cut lands in.
+  std::string first_field, first_token, last_field, last_token;
+  engine->index().ForEachList([&](const std::string& field,
+                                  const std::string& token,
+                                  const BlockPostings&) {
+    if (first_field.empty()) {
+      first_field = field;
+      first_token = token;
+    }
+    last_field = field;
+    last_token = token;
+  });
+  ASSERT_NE(first_field + "/" + first_token, last_field + "/" + last_token);
+  std::FILE* f = std::fopen(ipath.c_str(), "rb");
+  ASSERT_NE(f, nullptr);
+  std::fseek(f, 0, SEEK_END);
+  const long size = std::ftell(f);
+  std::fclose(f);
+  ASSERT_EQ(truncate(ipath.c_str(), size - 1), 0);
+
+  auto index = DiskPostingIndex::Open(ipath);
+  ASSERT_TRUE(index.ok()) << index.status().ToString();
+  auto intact = (*index)->ReadBlockList(first_field, first_token);
+  ASSERT_TRUE(intact.ok()) << intact.status().ToString();
+  EXPECT_EQ((*intact)->size(),
+            engine->index().Lookup(first_field, first_token).size());
+  EXPECT_EQ((*index)->ReadBlockList(last_field, last_token).status().code(),
+            StatusCode::kInvalidArgument);
+
+  auto disk = DiskTextEngine::Open(cpath, ipath);
+  ASSERT_TRUE(disk.ok()) << disk.status().ToString();
+  auto query = ParseTextQuery(last_field + "='" + last_token + "'");
+  ASSERT_TRUE(query.ok()) << query.status().ToString();
+  EXPECT_EQ((*disk)->Search(**query).status().code(),
+            StatusCode::kInvalidArgument);
+  std::remove(cpath.c_str());
+  std::remove(ipath.c_str());
 }
 
 TEST(IndexFileTest, LargeRandomCorpusRoundtrip) {
@@ -135,9 +210,9 @@ TEST(IndexFileTest, LargeRandomCorpusRoundtrip) {
         scenario->engine->index().Lookup("author", token).Materialize();
     const PostingList reloaded =
         (*loaded)->index().Lookup("author", token).Materialize();
-    auto from_disk = (*disk)->ReadList("author", token);
+    auto from_disk = (*disk)->ReadBlockList("author", token);
     ASSERT_TRUE(from_disk.ok());
-    EXPECT_EQ(DocsOf(*from_disk), DocsOf(mem));
+    EXPECT_EQ(DocsOf((*from_disk)->Materialize()), DocsOf(mem));
     EXPECT_EQ(DocsOf(reloaded), DocsOf(mem));
   }
   std::remove(cpath.c_str());
@@ -240,12 +315,13 @@ TEST(IndexFileTest, CompressionShrinksTheIndex) {
     const std::string token = "p0v" + std::to_string(j);
     const PostingList mem =
         scenario->engine->index().Lookup("author", token).Materialize();
-    auto from_disk = (*disk)->ReadList("author", token);
+    auto from_disk = (*disk)->ReadBlockList("author", token);
     ASSERT_TRUE(from_disk.ok());
-    ASSERT_EQ(from_disk->size(), mem.size());
+    const PostingList disk_list = (*from_disk)->Materialize();
+    ASSERT_EQ(disk_list.size(), mem.size());
     for (size_t i = 0; i < mem.size(); ++i) {
-      EXPECT_EQ((*from_disk)[i].doc, mem[i].doc);
-      EXPECT_EQ((*from_disk)[i].positions, mem[i].positions);
+      EXPECT_EQ(disk_list[i].doc, mem[i].doc);
+      EXPECT_EQ(disk_list[i].positions, mem[i].positions);
     }
   }
   std::remove(path.c_str());
