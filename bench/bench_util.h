@@ -113,9 +113,11 @@ inline Result<CostModel> BuildModel(const FederatedQuery& query,
   stats.correlation_g = correlation_g;
   stats.need_document_fields = join.spec.need_document_fields;
   for (const TextJoinPredicate& pred : query.text_joins) {
+    TEXTJOIN_ASSIGN_OR_RETURN(const TextJoinColumn column,
+                              ResolveTextJoinColumn(query, catalog, pred));
     TEXTJOIN_ASSIGN_OR_RETURN(
         TextPredicateStats ps,
-        registry.GetTextJoinStats(pred.column_ref, pred.field));
+        registry.GetTextJoinStats(column.stats_key, pred.field));
     // N_i: distinct values of the column among the filtered rows.
     auto idx = join.spec.left_schema.Resolve(pred.column_ref);
     TEXTJOIN_RETURN_IF_ERROR(idx.status());

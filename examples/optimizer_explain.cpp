@@ -38,7 +38,8 @@ int Run() {
     return 1;
   }
   for (const TextJoinPredicate& pred : query.text_joins) {
-    auto s = registry.GetTextJoinStats(pred.column_ref, pred.field);
+    auto column = ResolveTextJoinColumn(query, *scenario.catalog, pred);
+    auto s = registry.GetTextJoinStats(column->stats_key, pred.field);
     std::printf("  stats %-28s s=%.3f f=%.3f\n", pred.ToString().c_str(),
                 s->selectivity, s->fanout);
   }

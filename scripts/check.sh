@@ -75,6 +75,12 @@ for leg in "${legs[@]}"; do
     cmake -S "$repo/servebench" -B "$repo/build-check-servebench" \
       -DCMAKE_BUILD_TYPE=Release
     cmake --build "$repo/build-check-servebench" -j "$jobs"
+    # Hot-plan serving smoke: a short traced paper_mix run answers
+    # correctly and makes no statistics searches once warm-up planned
+    # every text (the plan cache, DESIGN.md §7).
+    echo "==> [release] hot-plan serving smoke"
+    python3 "$repo/scripts/hot_plan_smoke.py" \
+      "$repo/build-check-servebench/serve_bench"
     echo "==> [release] shard scaling gate"
     "$build/bench/bench_shard_scaling"
     echo "==> [release] cancellation gates"

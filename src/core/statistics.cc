@@ -6,17 +6,38 @@
 
 namespace textjoin {
 
-void StatsRegistry::SetTextJoinStats(const std::string& column_ref,
+Result<TextJoinColumn> ResolveTextJoinColumn(const FederatedQuery& query,
+                                             const Catalog& catalog,
+                                             const TextJoinPredicate& pred) {
+  const size_t dot = pred.column_ref.find('.');
+  if (dot == std::string::npos) {
+    return Status::InvalidArgument("text join column '" + pred.column_ref +
+                                   "' must be qualified");
+  }
+  TEXTJOIN_ASSIGN_OR_RETURN(const RelationRef* rel,
+                            query.FindRelation(pred.column_ref.substr(0, dot)));
+  TextJoinColumn resolved;
+  TEXTJOIN_ASSIGN_OR_RETURN(resolved.table, catalog.GetTable(rel->table_name));
+  TEXTJOIN_ASSIGN_OR_RETURN(
+      resolved.column,
+      resolved.table->schema().WithQualifier(rel->name()).Resolve(
+          pred.column_ref));
+  resolved.stats_key = resolved.table->name() + "." +
+                       resolved.table->schema().column(resolved.column).name;
+  return resolved;
+}
+
+void StatsRegistry::SetTextJoinStats(const std::string& stats_key,
                                      const std::string& field,
                                      double selectivity, double fanout) {
-  join_stats_[{column_ref, field}] = JoinStatsEntry{selectivity, fanout};
+  join_stats_[{stats_key, field}] = JoinStatsEntry{selectivity, fanout};
 }
 
 Result<TextPredicateStats> StatsRegistry::GetTextJoinStats(
-    const std::string& column_ref, const std::string& field) const {
-  auto it = join_stats_.find({column_ref, field});
+    const std::string& stats_key, const std::string& field) const {
+  auto it = join_stats_.find({stats_key, field});
   if (it == join_stats_.end()) {
-    return Status::NotFound("no statistics for '" + column_ref + " in " +
+    return Status::NotFound("no statistics for '" + stats_key + " in " +
                             field + "'");
   }
   TextPredicateStats stats;
@@ -26,9 +47,9 @@ Result<TextPredicateStats> StatsRegistry::GetTextJoinStats(
   return stats;
 }
 
-bool StatsRegistry::HasTextJoinStats(const std::string& column_ref,
+bool StatsRegistry::HasTextJoinStats(const std::string& stats_key,
                                      const std::string& field) const {
-  return join_stats_.count({column_ref, field}) != 0;
+  return join_stats_.count({stats_key, field}) != 0;
 }
 
 void StatsRegistry::SetTextSelectionStats(const std::string& term,
@@ -109,25 +130,15 @@ Status ComputeExactStats(const FederatedQuery& query, const Catalog& catalog,
   }
   // Text join predicate statistics: enumerate the column's distinct values.
   for (const TextJoinPredicate& pred : query.text_joins) {
-    const size_t dot = pred.column_ref.find('.');
-    if (dot == std::string::npos) {
-      return Status::InvalidArgument("text join column '" + pred.column_ref +
-                                     "' must be qualified");
-    }
-    const std::string rel_name = pred.column_ref.substr(0, dot);
-    TEXTJOIN_ASSIGN_OR_RETURN(const RelationRef* rel,
-                              query.FindRelation(rel_name));
-    TEXTJOIN_ASSIGN_OR_RETURN(Table * table,
-                              catalog.GetTable(rel->table_name));
-    TEXTJOIN_ASSIGN_OR_RETURN(size_t col,
-                              table->schema().Resolve(pred.column_ref));
+    TEXTJOIN_ASSIGN_OR_RETURN(const TextJoinColumn resolved,
+                              ResolveTextJoinColumn(query, catalog, pred));
     std::set<std::string> distinct;
-    for (const Row& row : table->rows()) {
-      const Value& v = row.at(col);
+    for (const Row& row : resolved.table->rows()) {
+      const Value& v = row.at(resolved.column);
       if (v.type() == ValueType::kString) distinct.insert(v.AsString());
     }
     if (distinct.empty()) {
-      registry.SetTextJoinStats(pred.column_ref, pred.field, 0.0, 0.0);
+      registry.SetTextJoinStats(resolved.stats_key, pred.field, 0.0, 0.0);
       continue;
     }
     size_t matched = 0;
@@ -139,7 +150,7 @@ Status ComputeExactStats(const FederatedQuery& query, const Catalog& catalog,
       total_docs += result.docs.size();
     }
     registry.SetTextJoinStats(
-        pred.column_ref, pred.field,
+        resolved.stats_key, pred.field,
         static_cast<double>(matched) / static_cast<double>(distinct.size()),
         static_cast<double>(total_docs) /
             static_cast<double>(distinct.size()));

@@ -26,18 +26,35 @@ struct TextSelectionStats {
   double postings = 0.0;    ///< Inverted-list postings read to evaluate it.
 };
 
+/// A text join predicate's column, resolved against the catalog.
+struct TextJoinColumn {
+  Table* table = nullptr;
+  size_t column = 0;  ///< Index into table->schema().
+  /// The predicate's StatsRegistry key: "table_name.column", whatever alias
+  /// the query gave the table. Two queries that reuse one alias for
+  /// different tables never share estimates; two aliases of one table do.
+  std::string stats_key;
+};
+
+/// Resolves `pred.column_ref` (which must be qualified by a relation of
+/// `query`) to its catalog table and column.
+Result<TextJoinColumn> ResolveTextJoinColumn(const FederatedQuery& query,
+                                             const Catalog& catalog,
+                                             const TextJoinPredicate& pred);
+
 /// Holds every estimate the optimizer consumes. Estimates are keyed by the
-/// textual form of the predicate, so they are shared across queries (the
+/// textual form of the predicate — text joins by the resolved column
+/// (TextJoinColumn::stats_key) — so they are shared across queries (the
 /// paper amortizes sampling cost this way).
 class StatsRegistry {
  public:
-  /// Records s_i / f_i for `column_ref in field`.
-  void SetTextJoinStats(const std::string& column_ref,
+  /// Records s_i / f_i for `stats_key in field`.
+  void SetTextJoinStats(const std::string& stats_key,
                         const std::string& field, double selectivity,
                         double fanout);
 
   /// The recorded stats. Fails with NotFound if never set.
-  Result<TextPredicateStats> GetTextJoinStats(const std::string& column_ref,
+  Result<TextPredicateStats> GetTextJoinStats(const std::string& stats_key,
                                               const std::string& field) const;
 
   /// Records match count / postings for a selection term.
@@ -53,7 +70,7 @@ class StatsRegistry {
 
   Result<const TableStats*> GetTableStats(const std::string& table_name) const;
 
-  bool HasTextJoinStats(const std::string& column_ref,
+  bool HasTextJoinStats(const std::string& stats_key,
                         const std::string& field) const;
 
  private:

@@ -20,6 +20,7 @@ Status Table::Insert(Row row) {
     }
   }
   rows_.push_back(std::move(row));
+  ++version_;
   return Status::OK();
 }
 

@@ -1,6 +1,7 @@
 #ifndef TEXTJOIN_RELATIONAL_TABLE_H_
 #define TEXTJOIN_RELATIONAL_TABLE_H_
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -14,7 +15,8 @@
 namespace textjoin {
 
 /// A named, in-memory relation: a schema plus a vector of rows. Tables are
-/// append-only (sufficient for the paper's read-only analytical workload).
+/// append-only (sufficient for the paper's read-only analytical workload),
+/// apart from Clear().
 class Table {
  public:
   Table(std::string name, Schema schema)
@@ -32,10 +34,21 @@ class Table {
 
   /// Appends a row without validation (hot path for generators that
   /// construct rows from the schema itself).
-  void InsertUnchecked(Row row) { rows_.push_back(std::move(row)); }
+  void InsertUnchecked(Row row) {
+    rows_.push_back(std::move(row));
+    ++version_;
+  }
 
   /// Removes all rows, keeping the schema.
-  void Clear() { rows_.clear(); }
+  void Clear() {
+    rows_.clear();
+    ++version_;
+  }
+
+  /// Bumped by every Insert, InsertUnchecked and Clear: equal versions of
+  /// one table mean equal contents (a row count would miss a Clear followed
+  /// by a refill of the same size). Plan caches stamp entries with it.
+  uint64_t version() const { return version_; }
 
   /// Returns the distinct count of the projection onto `column_indices`.
   size_t CountDistinct(const std::vector<size_t>& column_indices) const;
@@ -44,6 +57,7 @@ class Table {
   std::string name_;
   Schema schema_;
   std::vector<Row> rows_;
+  uint64_t version_ = 0;
 };
 
 }  // namespace textjoin

@@ -1,5 +1,7 @@
 #include "sql/federation_service.h"
 
+#include <algorithm>
+
 #include "connector/sampler.h"
 #include "sql/parser.h"
 
@@ -8,10 +10,10 @@ namespace textjoin {
 namespace {
 
 /// Fingerprint of the per-shard document counts (FNV-1a over the counts).
-/// The corpus watch compares fingerprints instead of one total, so growth
-/// in ANY single shard bumps the cache epoch — even when offset by
-/// shrinkage elsewhere. For a single backend this degenerates to watching
-/// the one document count, as before.
+/// It stamps cached plans and drives the text cache's corpus watch; both
+/// compare fingerprints instead of one total, so growth in ANY single shard
+/// is seen — even when offset by shrinkage elsewhere. A frozen engine only
+/// grows (TextEngine::AddDocument), so every edit changes its count.
 size_t CorpusFingerprint(const BackendTopology& topology) {
   uint64_t h = 1469598103934665603ull;
   for (const BackendTopology::Shard& shard : topology.shards) {
@@ -31,12 +33,13 @@ size_t CorpusFingerprint(const BackendTopology& topology) {
 Status FederationService::EnsureStatistics(const FederatedQuery& query,
                                            uint64_t pinned_epoch) {
   if (options_.oracle_stats) {
-    // Exact statistics computed engine-side (no metered traffic); cheap
-    // enough to recompute per query, and idempotent. Probes go to replica
-    // 0 of every shard and the counts are summed — docids partition
-    // disjointly, so the sums equal the single-corpus numbers. Mutable
-    // corpora are read at the query's pinned epoch so the statistics
-    // describe exactly the corpus the plan will execute against.
+    // Exact statistics computed engine-side (no metered traffic) and
+    // idempotent. They cost about as much as executing the query, which is
+    // why only a plan-cache miss gets here. Probes go to replica 0 of every
+    // shard and the counts are summed — docids partition disjointly, so the
+    // sums equal the single-corpus numbers. Mutable corpora are read at the
+    // query's pinned epoch so the statistics describe exactly the corpus
+    // the plan will execute against.
     std::vector<std::shared_ptr<const SearchableCorpus>> pinned;
     std::vector<const SearchableCorpus*> shards;
     shards.reserve(backend_->num_shards());
@@ -72,26 +75,16 @@ Status FederationService::EnsureStatistics(const FederatedQuery& query,
     }
   }
   for (const TextJoinPredicate& pred : query.text_joins) {
-    if (registry_.HasTextJoinStats(pred.column_ref, pred.field)) continue;
-    const size_t dot = pred.column_ref.find('.');
-    if (dot == std::string::npos) {
-      return Status::InvalidArgument("text join column '" + pred.column_ref +
-                                     "' must be qualified");
-    }
-    TEXTJOIN_ASSIGN_OR_RETURN(
-        const RelationRef* rel,
-        query.FindRelation(pred.column_ref.substr(0, dot)));
-    TEXTJOIN_ASSIGN_OR_RETURN(Table * table,
-                              catalog_->GetTable(rel->table_name));
-    TEXTJOIN_ASSIGN_OR_RETURN(
-        size_t col,
-        table->schema().WithQualifier(rel->name()).Resolve(pred.column_ref));
+    TEXTJOIN_ASSIGN_OR_RETURN(const TextJoinColumn resolved,
+                              ResolveTextJoinColumn(query, *catalog_, pred));
+    if (registry_.HasTextJoinStats(resolved.stats_key, pred.field)) continue;
     TEXTJOIN_ASSIGN_OR_RETURN(
         PredicateStatsEstimate est,
-        EstimatePredicateStats(*table, col, *sampler_source, pred.field,
+        EstimatePredicateStats(*resolved.table, resolved.column,
+                               *sampler_source, pred.field,
                                options_.sample_size, rng_));
-    registry_.SetTextJoinStats(pred.column_ref, pred.field, est.selectivity,
-                               est.fanout);
+    registry_.SetTextJoinStats(resolved.stats_key, pred.field,
+                               est.selectivity, est.fanout);
   }
   for (const TextSelection& sel : query.text_selections) {
     if (registry_.GetTextSelectionStats(sel.term, sel.field).ok()) continue;
@@ -125,6 +118,72 @@ Result<PlanNodePtr> FederationService::Plan(const FederatedQuery& query,
   Enumerator enumerator(catalog_, &registry_, total_documents,
                         topology.max_search_terms(), options_.enumerator);
   return enumerator.Optimize(query);
+}
+
+bool FederationService::PlannedQuery::ValidAt(
+    const CorpusVersion& current) const {
+  if (version != current) return false;
+  for (const auto& [table, table_version] : table_versions) {
+    if (table->version() != table_version) return false;
+  }
+  return true;
+}
+
+FederationService::CorpusVersion FederationService::ReadCorpusVersion()
+    const {
+  CorpusVersion version;
+  if (options_.live.has_value()) {
+    version.pinned_epoch = options_.live->clock->published();
+  } else {
+    version.fingerprint = CorpusFingerprint(backend_->topology());
+  }
+  return version;
+}
+
+Result<std::shared_ptr<const FederationService::PlannedQuery>>
+FederationService::PlanFor(const std::string& sql,
+                           const CorpusVersion& version) {
+  {
+    std::shared_lock<std::shared_mutex> lock(plan_cache_mu_);
+    auto it = plan_cache_.find(sql);
+    if (it != plan_cache_.end() && it->second.planned->ValidAt(version)) {
+      it->second.last_used.store(
+          plan_clock_.fetch_add(1, std::memory_order_relaxed),
+          std::memory_order_relaxed);
+      return it->second.planned;
+    }
+  }
+  TEXTJOIN_ASSIGN_OR_RETURN(FederatedQuery query,
+                            ParseQuery(sql, options_.text));
+  auto planned = std::make_shared<PlannedQuery>();
+  planned->query = std::make_shared<const FederatedQuery>(std::move(query));
+  planned->version = version;
+  // Read the table versions BEFORE planning reads the tables: an insert
+  // racing this plan then leaves a stale stamp (re-planned next time),
+  // never a stale plan behind a current stamp.
+  for (const RelationRef& rel : planned->query->relations) {
+    TEXTJOIN_ASSIGN_OR_RETURN(Table * table,
+                              catalog_->GetTable(rel.table_name));
+    planned->table_versions.emplace_back(table, table->version());
+  }
+  TEXTJOIN_ASSIGN_OR_RETURN(planned->plan,
+                            Plan(*planned->query, version.pinned_epoch));
+  planned->rendered_plan = planned->plan->ToString(*planned->query);
+
+  std::unique_lock<std::shared_mutex> lock(plan_cache_mu_);
+  if (plan_cache_.size() >= kPlanCacheEntries && !plan_cache_.contains(sql)) {
+    plan_cache_.erase(std::min_element(
+        plan_cache_.begin(), plan_cache_.end(),
+        [](const auto& a, const auto& b) {
+          return a.second.last_used.load(std::memory_order_relaxed) <
+                 b.second.last_used.load(std::memory_order_relaxed);
+        }));
+  }
+  PlanSlot& slot = plan_cache_.try_emplace(sql).first->second;
+  slot.planned = planned;
+  slot.last_used.store(plan_clock_.fetch_add(1, std::memory_order_relaxed),
+                       std::memory_order_relaxed);
+  return std::shared_ptr<const PlannedQuery>(std::move(planned));
 }
 
 Result<QueryOutcome> FederationService::Run(const std::string& sql) {
@@ -165,17 +224,19 @@ Result<QueryOutcome> FederationService::Run(const std::string& sql,
   // executor's inline stages all observe the token.
   CancelScope cancel_scope(token);
 
-  // Live mode: pin the corpus version NOW, before statistics or planning
-  // touch the corpus. Everything downstream — oracle probes, sampling,
-  // the planner's document count, the router's replica snapshots, the
-  // cache's validity gate — reads exactly this epoch, so a query never
-  // observes a torn corpus no matter how writers race it.
-  const uint64_t pinned_epoch = options_.live.has_value()
-                                    ? options_.live->clock->published()
-                                    : kUnpinnedEpoch;
-
-  TEXTJOIN_ASSIGN_OR_RETURN(FederatedQuery query, ParseQuery(sql, options_.text));
-  TEXTJOIN_ASSIGN_OR_RETURN(PlanNodePtr plan, Plan(query, pinned_epoch));
+  // Pin the corpus version NOW, before statistics or planning touch the
+  // corpus. In live mode everything downstream — the plan-cache stamp,
+  // oracle probes, sampling, the planner's document count, the router's
+  // replica snapshots, the cache's validity gate — reads exactly this
+  // epoch, so a query never observes a torn corpus no matter how writers
+  // race it. Otherwise the one fingerprint read here stamps the plan and
+  // drives the cache's corpus-change watch.
+  const CorpusVersion version = ReadCorpusVersion();
+  const uint64_t pinned_epoch = version.pinned_epoch;
+  TEXTJOIN_ASSIGN_OR_RETURN(std::shared_ptr<const PlannedQuery> planned,
+                            PlanFor(sql, version));
+  const FederatedQuery& query = *planned->query;
+  const PlanNode& plan = *planned->plan;
 
   // Query deadline: per-call override, else the service default, else
   // none. Computed and checked on deadline_clock everywhere (the one
@@ -205,7 +266,7 @@ Result<QueryOutcome> FederationService::Run(const std::string& sql,
   if (admission_ != nullptr) {
     TEXTJOIN_ASSIGN_OR_RETURN(
         ticket,
-        admission_->Admit(plan->est_cost, deadline_tp, priority, token,
+        admission_->Admit(plan.est_cost, deadline_tp, priority, token,
                           tenant));
   }
 
@@ -236,9 +297,10 @@ Result<QueryOutcome> FederationService::Run(const std::string& sql,
     // SURGICAL invalidations for every write, and a whole-store flush on
     // every count change would defeat them.
     if (!options_.live.has_value()) {
-      const size_t corpus = CorpusFingerprint(backend_->topology());
-      const size_t previous = last_corpus_size_.exchange(corpus);
-      if (previous != static_cast<size_t>(-1) && previous != corpus) {
+      const size_t previous =
+          last_corpus_fingerprint_.exchange(version.fingerprint);
+      if (previous != static_cast<size_t>(-1) &&
+          previous != version.fingerprint) {
         cache_->AdvanceEpoch();
       }
     }
@@ -255,7 +317,7 @@ Result<QueryOutcome> FederationService::Run(const std::string& sql,
   PlanExecutor executor(catalog_, exec_source, exec_options, pool_.get());
   QueryOutcome outcome;
   TEXTJOIN_ASSIGN_OR_RETURN(
-      outcome.rows, executor.Execute(*plan, query, &outcome.profile,
+      outcome.rows, executor.Execute(plan, query, &outcome.profile,
                                      &outcome.degradation));
   if (options_.chain.resilience.has_value()) {
     const ResilienceStats stats = router->resilience_stats();
@@ -301,8 +363,8 @@ Result<QueryOutcome> FederationService::Run(const std::string& sql,
     }
   }
   outcome.meter_delta = router->meter();
-  outcome.chosen_plan = plan->ToString(query);
-  outcome.plan = std::move(plan);
+  outcome.chosen_plan = planned->rendered_plan;
+  outcome.plan = planned->plan;
   cumulative_.Add(outcome.meter_delta);
   return outcome;
 }
@@ -384,12 +446,9 @@ FederationService::DrainReport FederationService::Drain(
 }
 
 Result<std::string> FederationService::Explain(const std::string& sql) {
-  const uint64_t pinned_epoch = options_.live.has_value()
-                                    ? options_.live->clock->published()
-                                    : kUnpinnedEpoch;
-  TEXTJOIN_ASSIGN_OR_RETURN(FederatedQuery query, ParseQuery(sql, options_.text));
-  TEXTJOIN_ASSIGN_OR_RETURN(PlanNodePtr plan, Plan(query, pinned_epoch));
-  return query.ToString() + "\n" + plan->ToString(query);
+  TEXTJOIN_ASSIGN_OR_RETURN(std::shared_ptr<const PlannedQuery> planned,
+                            PlanFor(sql, ReadCorpusVersion()));
+  return planned->query->ToString() + "\n" + planned->rendered_plan;
 }
 
 }  // namespace textjoin

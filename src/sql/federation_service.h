@@ -9,8 +9,10 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <shared_mutex>
 #include <string>
 #include <thread>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -86,9 +88,11 @@ struct QueryOutcome {
 /// either a single engine or a BackendTopology of N shards x R replicas
 /// routed by a ShardedTextSource.
 ///
-/// Run() is safe to call from multiple threads concurrently: statistics
-/// acquisition and planning are serialized internally, and each execution
-/// charges a private per-call meter before folding into the cumulative one.
+/// Run() is safe to call from multiple threads concurrently: each query
+/// text is planned once per corpus and table state and its plan cached, a
+/// cache miss plans under one service-wide statistics lock, and each
+/// execution charges a private per-call meter before folding into the
+/// cumulative one.
 class FederationService {
  public:
   /// Live-corpus mode (DESIGN.md §16): the topology's corpora are mutable
@@ -297,8 +301,11 @@ class FederationService {
   FederationService& operator=(const FederationService&) = delete;
 
   /// Parses, optimizes, and executes `sql`, returning a self-contained
-  /// QueryOutcome. Statistics for predicates not yet known are acquired on
-  /// first use and cached across queries.
+  /// QueryOutcome. The plan comes from the plan cache when `sql` was
+  /// planned before against the same corpus and tables (DESIGN.md §7);
+  /// otherwise statistics are acquired — recomputed exactly in oracle
+  /// mode, sampled once per predicate and reused in sampling mode — and
+  /// the plan enumerated and cached.
   Result<QueryOutcome> Run(const std::string& sql);
 
   /// Run() with per-call deadline/priority overrides. A query shed by
@@ -334,8 +341,20 @@ class FederationService {
   }
 
   /// Parses and optimizes `sql`, returning the EXPLAIN rendering of the
-  /// chosen plan (no execution, no meter charges beyond statistics).
+  /// chosen plan (no execution, no meter charges beyond statistics). Shares
+  /// the plan cache with Run(): a Run() after an Explain() of the same text
+  /// does not plan again.
   Result<std::string> Explain(const std::string& sql);
+
+  /// Upper bound on the query texts the plan cache holds; beyond it the
+  /// least recently used entry is evicted.
+  static constexpr size_t kPlanCacheEntries = 1024;
+
+  /// Query texts currently in the plan cache (at most kPlanCacheEntries).
+  size_t plan_cache_size() const {
+    std::shared_lock<std::shared_mutex> lock(plan_cache_mu_);
+    return plan_cache_.size();
+  }
 
   /// Cumulative execution charges across every Run() so far.
   AccessMeter meter() const { return cumulative_.Snapshot(); }
@@ -370,11 +389,39 @@ class FederationService {
     if (cache_ != nullptr) cache_->AdvanceEpoch();
   }
 
-  /// The statistics cache (exposed for inspection/preloading). Not
-  /// synchronized — do not touch while Run() is in flight elsewhere.
-  StatsRegistry& stats() { return registry_; }
-
  private:
+  /// The corpus version a query reads, fixed when it starts: in live mode
+  /// the clock's published epoch (fingerprint unused, 0); otherwise
+  /// kUnpinnedEpoch and the per-shard document-count fingerprint.
+  struct CorpusVersion {
+    uint64_t pinned_epoch = kUnpinnedEpoch;
+    size_t fingerprint = 0;
+    bool operator==(const CorpusVersion&) const = default;
+  };
+
+  /// One planned query text: the parse and the plan (immutable, shared by
+  /// every Run and Explain that reuses them), the plan's EXPLAIN rendering,
+  /// and the stamp of the state it was planned against.
+  struct PlannedQuery {
+    std::shared_ptr<const FederatedQuery> query;
+    PlanNodePtr plan;
+    std::string rendered_plan;  ///< plan->ToString(*query).
+    CorpusVersion version;
+    /// Table::version() of every relation, read before planning.
+    std::vector<std::pair<const Table*, uint64_t>> table_versions;
+
+    /// True when the plan was made against `current` and unchanged tables.
+    bool ValidAt(const CorpusVersion& current) const;
+  };
+
+  CorpusVersion ReadCorpusVersion() const;
+
+  /// The plan for `sql` at `version`: the cached one when its stamp still
+  /// matches, else parsed, planned under stats_mu_ and cached (replacing a
+  /// stale entry). Errors are not cached.
+  Result<std::shared_ptr<const PlannedQuery>> PlanFor(
+      const std::string& sql, const CorpusVersion& version);
+
   /// Ensures the registry covers every predicate of `query`, reading the
   /// corpus at `pinned_epoch` (mutable corpora only; kUnpinnedEpoch =
   /// latest). Caller holds stats_mu_.
@@ -391,7 +438,8 @@ class FederationService {
   /// its router from this.
   std::unique_ptr<ShardedBackend> backend_;
 
-  /// Serializes statistics acquisition and planning (registry_, rng_).
+  /// Serializes statistics acquisition and planning (registry_, rng_) on a
+  /// plan-cache miss; a hit never takes it.
   std::mutex stats_mu_;
   /// Bare (chain-less) router; its own meter IS the stats meter.
   std::unique_ptr<ShardedTextSource> stats_source_;
@@ -400,6 +448,19 @@ class FederationService {
   /// on them) repeat exactly from run to run.
   static constexpr uint64_t kSamplingSeed = 42;
   Rng rng_;
+
+  /// The plan cache, keyed by the exact query text (literals are not
+  /// parameters: different literals may get different plans). A hit takes
+  /// only the shared side of plan_cache_mu_; a miss plans first, then takes
+  /// the exclusive side to insert.
+  struct PlanSlot {
+    std::shared_ptr<const PlannedQuery> planned;
+    /// plan_clock_ at the last use; the smallest is evicted first.
+    std::atomic<uint64_t> last_used{0};
+  };
+  mutable std::shared_mutex plan_cache_mu_;
+  std::unordered_map<std::string, PlanSlot> plan_cache_;
+  std::atomic<uint64_t> plan_clock_{0};
 
   /// Folded per-call deltas; commutative, so concurrent Run()s agree.
   AtomicAccessMeter cumulative_;
@@ -426,11 +487,11 @@ class FederationService {
   /// The cross-query cache (private or shared per Options). Null when off.
   std::shared_ptr<TextCache> cache_;
 
-  /// Corpus-change watch: the TOTAL document count across every shard
-  /// observed by the last Run() — aggregated, so a single-shard corpus
-  /// swap still bumps the epoch. SIZE_MAX until first observed (no
-  /// spurious invalidation on startup).
-  std::atomic<size_t> last_corpus_size_{static_cast<size_t>(-1)};
+  /// Corpus-change watch: the per-shard document-count fingerprint
+  /// observed by the last Run(), so growth in any one shard bumps the
+  /// cache epoch. SIZE_MAX until first observed (no spurious invalidation
+  /// on startup).
+  std::atomic<size_t> last_corpus_fingerprint_{static_cast<size_t>(-1)};
 };
 
 }  // namespace textjoin

@@ -232,5 +232,54 @@ TEST_F(ServiceStressTest, SamplingModeSurvivesConcurrentFirstQueries) {
   EXPECT_EQ(service.stats_meter(), stats_before);
 }
 
+/// More distinct texts than the plan cache holds, run from several threads
+/// at once: hits, misses, stale re-plans and evictions race on one cache.
+/// Every outcome must equal a serial service's, and the cache must never
+/// grow past its bound.
+TEST_F(ServiceStressTest, PlanCacheEvictionsRaceHits) {
+  constexpr int kThreads = 4;
+  const size_t num_texts = FederationService::kPlanCacheEntries + 64;
+  const auto sql = [](size_t n) {
+    return "select student.name from student where student.year > 1 and "
+           "student.year < " +
+           std::to_string(n);
+  };
+  std::vector<std::vector<std::string>> expected(num_texts);
+  {
+    FederationService serial(workload_.catalog.get(), workload_.engine.get(),
+                             Options(1));
+    for (size_t n = 0; n < num_texts; ++n) {
+      auto outcome = serial.Run(sql(n));
+      ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
+      expected[n] = RenderRows(outcome->rows.rows);
+    }
+  }
+
+  FederationService service(workload_.catalog.get(), workload_.engine.get(),
+                            Options(1));
+  std::atomic<int> mismatches{0};
+  std::atomic<size_t> max_size{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (size_t i = 0; i < num_texts; ++i) {
+        const size_t n = (static_cast<size_t>(t) * 97 + i) % num_texts;
+        auto outcome = service.Run(sql(n));
+        if (!outcome.ok() || RenderRows(outcome->rows.rows) != expected[n]) {
+          ++mismatches;
+        }
+        const size_t size = service.plan_cache_size();
+        size_t seen = max_size.load();
+        while (size > seen && !max_size.compare_exchange_weak(seen, size)) {
+        }
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  EXPECT_EQ(mismatches.load(), 0);
+  EXPECT_LE(max_size.load(), FederationService::kPlanCacheEntries);
+  EXPECT_EQ(service.plan_cache_size(), FederationService::kPlanCacheEntries);
+}
+
 }  // namespace
 }  // namespace textjoin

@@ -156,13 +156,13 @@ TEST(SampledStatsTest, OptimizerWithSampledStatsIsStillCorrect) {
   registry.SetTableStats("project", TableStats::Analyze(*table));
   AccessMeter stats_meter;
   for (const TextJoinPredicate& pred : query.text_joins) {
-    auto col = table->schema().Resolve(pred.column_ref);
+    auto col = ResolveTextJoinColumn(query, *scenario.catalog, pred);
     ASSERT_TRUE(col.ok());
     ScopedMeter redirect(source, &stats_meter);
-    auto est = EstimatePredicateStats(*table, *col, source, pred.field,
-                                      /*sample_size=*/10, rng);
+    auto est = EstimatePredicateStats(*col->table, col->column, source,
+                                      pred.field, /*sample_size=*/10, rng);
     ASSERT_TRUE(est.ok());
-    registry.SetTextJoinStats(pred.column_ref, pred.field, est->selectivity,
+    registry.SetTextJoinStats(col->stats_key, pred.field, est->selectivity,
                               est->fanout);
   }
   for (const TextSelection& sel : query.text_selections) {

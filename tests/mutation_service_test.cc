@@ -446,5 +446,93 @@ TEST(TrafficWriteMixTest, ReadsRaceWritesAndStalenessIsReported) {
   service.Drain(std::chrono::microseconds(1'000'000));
 }
 
+// ---------------------------------------------------------------------------
+// The plan cache under a live corpus: entries are stamped with the pinned
+// epoch, so a write re-plans and every cached plan is the one a fresh
+// service makes at the epoch the query read.
+
+TEST(PlanCacheLiveTest, AWriteReplansAtTheNewEpoch) {
+  auto env = MakeLiveEnv(/*num_shards=*/1, /*num_replicas=*/1);
+  FederationService service(
+      &env->catalog, nullptr,
+      LiveOptions(*env, JoinMethodKind::kSJRTP, /*parallelism=*/1));
+  auto first = service.Run(kBeliefSql);
+  auto hit = service.Run(kBeliefSql);
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  ASSERT_TRUE(hit.ok()) << hit.status().ToString();
+  EXPECT_EQ(hit->plan, first->plan);  // Same epoch: planned once.
+
+  auto written = env->writer->Insert(
+      MakeDoc("plan-cache-0", "Belief in cached plans", {"Gravano"}));
+  ASSERT_TRUE(written.ok()) << written.status().ToString();
+  auto after = service.Run(kBeliefSql);
+  ASSERT_TRUE(after.ok()) << after.status().ToString();
+  EXPECT_GT(after->profile.corpus.epoch, hit->profile.corpus.epoch);
+  EXPECT_NE(after->plan, hit->plan);
+  EXPECT_EQ(service.plan_cache_size(), 1u);
+
+  auto replay = ReplayAtEpoch(*env, after->profile.corpus.epoch, kBeliefSql,
+                              JoinMethodKind::kSJRTP, 1);
+  ASSERT_TRUE(replay.ok()) << replay.status().ToString();
+  EXPECT_EQ(RowStrings(*after), RowStrings(*replay));
+  EXPECT_EQ(after->meter_delta, replay->meter_delta);
+  EXPECT_EQ(after->chosen_plan, replay->chosen_plan);
+}
+
+// Several threads run several texts against ONE service while a writer
+// storms the corpus: cache hits, stale-stamp re-plans and concurrent
+// misses interleave, and every outcome must still replay byte-identically
+// at the epoch it pinned.
+TEST(PlanCacheLiveTest, ConcurrentTextsUnderWritesReplayAtTheirEpochs) {
+  const std::vector<std::string> texts = {
+      kBeliefSql,
+      kFilteringSql,
+      "select mercury.docid from student, mercury where student.name in "
+      "mercury.author and 'retrieval' in mercury.title",
+      "select mercury.docid from student, mercury where student.name in "
+      "mercury.author and 'query' in mercury.title",
+  };
+  constexpr int kThreads = 3;
+  constexpr int kRounds = 3;
+  auto env = MakeLiveEnv(/*num_shards=*/2, /*num_replicas=*/1);
+  FederationService service(
+      &env->catalog, nullptr,
+      LiveOptions(*env, JoinMethodKind::kSJRTP, /*parallelism=*/2));
+  struct Observed {
+    size_t text;
+    Result<QueryOutcome> outcome;
+  };
+  std::vector<std::vector<Observed>> observed(kThreads);
+  std::vector<std::thread> readers;
+  for (int t = 0; t < kThreads; ++t) {
+    readers.emplace_back([&, t] {
+      for (int round = 0; round < kRounds; ++round) {
+        for (size_t i = 0; i < texts.size(); ++i) {
+          const size_t text = (static_cast<size_t>(t) + i) % texts.size();
+          observed[t].push_back({text, service.Run(texts[text])});
+        }
+      }
+    });
+  }
+  StormRound(*env, 200);
+  for (std::thread& reader : readers) reader.join();
+
+  for (const std::vector<Observed>& per_thread : observed) {
+    for (const Observed& o : per_thread) {
+      ASSERT_TRUE(o.outcome.ok()) << o.outcome.status().ToString();
+      const uint64_t epoch = o.outcome->profile.corpus.epoch;
+      auto replay = ReplayAtEpoch(*env, epoch, texts[o.text],
+                                  JoinMethodKind::kSJRTP, 2);
+      ASSERT_TRUE(replay.ok()) << replay.status().ToString();
+      EXPECT_EQ(RowStrings(*o.outcome), RowStrings(*replay))
+          << texts[o.text] << " epoch=" << epoch;
+      EXPECT_EQ(o.outcome->meter_delta, replay->meter_delta)
+          << texts[o.text] << " epoch=" << epoch;
+      EXPECT_EQ(o.outcome->chosen_plan, replay->chosen_plan);
+    }
+  }
+  EXPECT_EQ(service.plan_cache_size(), texts.size());
+}
+
 }  // namespace
 }  // namespace textjoin

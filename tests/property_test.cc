@@ -328,7 +328,10 @@ TEST_P(SamplerConvergenceTest, FullSampleIsExact) {
                   .ok());
   Rng rng(GetParam());
   for (size_t p = 0; p < config.predicates.size(); ++p) {
-    auto exact = registry.GetTextJoinStats(query.text_joins[p].column_ref,
+    auto col = ResolveTextJoinColumn(query, *scenario->catalog,
+                                     query.text_joins[p]);
+    ASSERT_TRUE(col.ok());
+    auto exact = registry.GetTextJoinStats(col->stats_key,
                                            query.text_joins[p].field);
     ASSERT_TRUE(exact.ok());
     auto sampled = EstimatePredicateStats(

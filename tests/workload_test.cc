@@ -168,7 +168,9 @@ TEST_P(PaperQueryTest, MethodsAgreeWithReference) {
       ComputeExactStats(query, *scenario.catalog, *scenario.engine, registry)
           .ok());
   for (const TextJoinPredicate& pred : query.text_joins) {
-    auto stats = registry.GetTextJoinStats(pred.column_ref, pred.field);
+    auto col = ResolveTextJoinColumn(query, *scenario.catalog, pred);
+    ASSERT_TRUE(col.ok());
+    auto stats = registry.GetTextJoinStats(col->stats_key, pred.field);
     ASSERT_TRUE(stats.ok());
     EXPECT_GE(stats->selectivity, 0.0);
     EXPECT_LE(stats->selectivity, 1.0);
